@@ -12,8 +12,17 @@ direction, both restricted to a finite interior lattice:
   axis, the conditional orthant probability must move the right way as
   the conditioning point takes one grid step along that axis.
 
+Every point either route touches is a lattice point, so both evaluate
+one table per direction on the g^n lattice (F_d, or for the pure
+single-swap form the copula or survival copula) and become index
+arithmetic on it.  The scalar pair and conditional functions are the
+independent recheck path: every counterexample a scan reports is
+recomputed through them, and one that does not re-verify is flagged as
+a disagreement.
+
 A direction that survives every check at a given resolution is reported
-as a pass at that resolution, never as proved.  Pure directions in
+as a pass at that resolution, never as proved; an oracle scan left with
+no defined comparison is unsupported, not a pass.  Pure directions in
 dimension >= 4 have no supported inequality form and are routed to the
 oracle; a single-coordinate-swap variant can be computed behind an
 explicit conjectural flag but never contributes to official verdicts.
@@ -202,79 +211,67 @@ def check_pair_pure(
     return None
 
 
-def _grid_pairs(grid: GridSpec, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered grid pairs u <= u', lexicographic in (u, u')."""
+def _lattice(grid: GridSpec, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index vectors of the g^n lattice in flat (row-major) order, their
+    points, and the strides that map an index vector to its flat index."""
     g = grid.resolution
-    lo, hi = np.triu_indices(g)
-    m = lo.size
-    mesh = np.indices((m,) * dim).reshape(dim, -1)
-    u_idx = lo[mesh].T
-    up_idx = hi[mesh].T
-    # np.lexsort treats its last key as primary: order by u coordinates
-    # first (axis 0 outermost), then by u' coordinates.
-    keys = [up_idx[:, k] for k in reversed(range(dim))]
-    keys += [u_idx[:, k] for k in reversed(range(dim))]
-    order = np.lexsort(tuple(keys))
-    pts = grid.points()
-    return pts[u_idx[order]], pts[up_idx[order]]
+    idx = np.indices((g,) * dim).reshape(dim, -1).T
+    strides = np.array([g ** (dim - 1 - k) for k in range(dim)], dtype=np.int64)
+    return idx, grid.points()[idx], strides
 
 
-def _pair_sides(
-    spec: CopulaSpec,
-    d: Direction,
-    u_arr: np.ndarray,
-    up_arr: np.ndarray,
-    single_swap: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized (lhs, rhs) arrays of the pairwise inequality."""
-    if single_swap:
-        swapped_lo = u_arr.copy()
-        swapped_lo[:, 0] = up_arr[:, 0]
-        swapped_hi = up_arr.copy()
-        swapped_hi[:, 0] = u_arr[:, 0]
-        evaluate = _cdf_array if d.signs[0] < 0 else _survival_array
-        lhs = evaluate(spec, swapped_lo) * evaluate(spec, swapped_hi)
-        rhs = evaluate(spec, u_arr) * evaluate(spec, up_arr)
-    else:
-        neg = list(d.neg_idx)
-        swapped_lo = u_arr.copy()
-        swapped_lo[:, neg] = up_arr[:, neg]
-        swapped_hi = up_arr.copy()
-        swapped_hi[:, neg] = u_arr[:, neg]
-        lhs = _orthant_array(spec, d, u_arr) * _orthant_array(spec, d, up_arr)
-        rhs = _orthant_array(spec, d, swapped_lo) * _orthant_array(spec, d, swapped_hi)
-    return lhs, rhs
+def _grid_pairs(grid: GridSpec, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice index vectors (one row per pair) of all ordered pairs u <= u'."""
+    lo, hi = np.triu_indices(grid.resolution)
+    mesh = np.indices((lo.size,) * dim).reshape(dim, -1)
+    return lo[mesh].T, hi[mesh].T
 
 
 def _pairwise_verdict(
     spec: CopulaSpec,
     d: Direction,
+    grid: GridSpec,
     pairs: tuple[np.ndarray, np.ndarray],
     tol: float,
     notion: Notion,
-    single_swap: bool,
-    method: str = METHOD_INEQUALITY,
 ) -> DirectionVerdict:
-    u_arr, up_arr = pairs
-    lhs, rhs = _pair_sides(spec, d, u_arr, up_arr, single_swap)
+    """Pairwise inequality gathered from one lattice table of the direction.
+
+    Mixed directions swap the negative-axis coordinates of u and u';
+    pure ones swap axis 0 and read the copula or survival table.
+    """
+    u_idx, up_idx = pairs
+    _, points, strides = _lattice(grid, spec.dim)
+    swap = [0] if d.is_pure else list(d.neg_idx)
+    u, up = u_idx @ strides, up_idx @ strides
+    shift = (up_idx[:, swap] - u_idx[:, swap]) @ strides[swap]
+    lo, hi = u + shift, up - shift
+    if d.is_pure:
+        table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, points)
+        lhs, rhs = table[lo] * table[hi], table[u] * table[up]
+    else:
+        table = _orthant_array(spec, d, points)
+        lhs, rhs = table[u] * table[up], table[lo] * table[hi]
     if notion is Notion.DECREASING:
         lhs, rhs = rhs, lhs
     slack = lhs - rhs
     max_slack = float(slack.max())
     violating = slack > tol
     if violating.any():
-        i = int(np.argmax(violating))
+        # the first violation in lexicographic (u, u') order
+        hits = np.flatnonzero(violating)
+        i = int(hits[np.argmin(u[hits] * len(points) + up[hits])])
         cex = Counterexample(
             d,
-            tuple(u_arr[i]),
-            tuple(up_arr[i]),
+            tuple(points[u[i]]),
+            tuple(points[up[i]]),
             float(lhs[i]),
             float(rhs[i]),
             float(slack[i]),
             kind="pair",
         )
-        return DirectionVerdict(d, method, REFUTED, len(slack), max_slack, cex)
-    return DirectionVerdict(d, method, PASS_AT_RESOLUTION, len(slack), max_slack, None)
+        return DirectionVerdict(d, METHOD_INEQUALITY, REFUTED, len(slack), max_slack, cex)
+    return DirectionVerdict(d, METHOD_INEQUALITY, PASS_AT_RESOLUTION, len(slack), max_slack, None)
 
 
 def check_direction_inequality(
@@ -295,7 +292,7 @@ def check_direction_inequality(
     if d.is_pure and spec.dim > 3:
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     pairs = _pairs if _pairs is not None else _grid_pairs(grid, spec.dim)
-    return _pairwise_verdict(spec, d, pairs, tol, notion, single_swap=d.is_pure)
+    return _pairwise_verdict(spec, d, grid, pairs, tol, notion)
 
 
 def check_direction_oracle(
@@ -313,7 +310,7 @@ def check_direction_oracle(
     step further along each axis (a step toward larger coordinates on
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
-    skipped.
+    skipped; a direction left with no comparison is unsupported.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
@@ -321,11 +318,9 @@ def check_direction_oracle(
     n = spec.dim
     shape = (g,) * n
     total = g**n
-    idx = np.indices(shape).reshape(n, -1).T
-    grid_points = grid.points()[idx]
+    idx, grid_points, strides = _lattice(grid, n)
     f_grid = np.asarray(_orthant_array(spec, d, grid_points))
 
-    strides = np.array([g ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     flat_join = np.zeros((total, total), dtype=np.int64)
     for k in range(n):
         a = idx[:, k][:, None]
@@ -402,9 +397,9 @@ def check_direction_oracle(
         return DirectionVerdict(
             d, METHOD_ORACLE, REFUTED, comparisons, max_slack, first[1]
         )
-    return DirectionVerdict(
-        d, METHOD_ORACLE, PASS_AT_RESOLUTION, comparisons, max_slack, None
-    )
+    # no defined comparison at all would make a pass vacuous
+    outcome = PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
+    return DirectionVerdict(d, METHOD_ORACLE, outcome, comparisons, max_slack, None)
 
 
 def scan_direction(
@@ -423,7 +418,9 @@ def scan_direction(
     With method "both" the two routes must agree wherever both are
     supported; on disagreement the oracle's outcome is reported with
     ``methods_agree`` set to False (callers treat that as an internal
-    defect, not a property of the copula).
+    defect, not a property of the copula).  A reported counterexample
+    that does not re-verify through the scalar path
+    (``recheck_counterexample``) sets ``methods_agree`` to False too.
     """
     conjectural: str | None = None
     needs_conjectural = (
@@ -434,55 +431,52 @@ def scan_direction(
     )
     if needs_conjectural:
         pairs = _pairs if _pairs is not None else _grid_pairs(grid, spec.dim)
-        conj = _pairwise_verdict(spec, d, pairs, tol, notion, single_swap=True)
+        conj = _pairwise_verdict(spec, d, grid, pairs, tol, notion)
         conjectural = conj.outcome
 
     if method == METHOD_INEQUALITY:
-        verdict = check_direction_inequality(spec, d, grid, tol, notion, _pairs=_pairs)
-        return replace(
-            verdict,
-            inequality_outcome=verdict.outcome,
+        ineq = check_direction_inequality(spec, d, grid, tol, notion, _pairs=_pairs)
+        verdict = replace(
+            ineq, inequality_outcome=ineq.outcome, conjectural_outcome=conjectural
+        )
+    elif method == METHOD_ORACLE:
+        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
+        verdict = replace(orac, oracle_outcome=orac.outcome)
+    elif method == METHOD_BOTH:
+        ineq = check_direction_inequality(spec, d, grid, tol, notion, _pairs=_pairs)
+        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
+        outcomes = dict(
+            inequality_outcome=ineq.outcome,
+            oracle_outcome=orac.outcome,
             conjectural_outcome=conjectural,
         )
-    if method == METHOD_ORACLE:
-        verdict = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
-        return replace(verdict, oracle_outcome=verdict.outcome)
-    if method != METHOD_BOTH:
+        # a route that could not decide defers to the other
+        if ineq.outcome == UNSUPPORTED:
+            verdict = replace(orac, **outcomes)
+        elif orac.outcome == UNSUPPORTED:
+            verdict = replace(ineq, **outcomes)
+        else:
+            agree = ineq.outcome == orac.outcome
+            outcome = ineq.outcome if agree else orac.outcome
+            cex = ineq.counterexample or orac.counterexample
+            verdict = DirectionVerdict(
+                d,
+                METHOD_BOTH,
+                outcome,
+                ineq.pairs_tested + orac.pairs_tested,
+                max(ineq.max_slack, orac.max_slack),
+                None if outcome == PASS_AT_RESOLUTION else cex,
+                methods_agree=agree,
+                **outcomes,
+            )
+    else:
         raise ValueError(f"unknown method {method!r}")
 
-    ineq = check_direction_inequality(spec, d, grid, tol, notion, _pairs=_pairs)
-    orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
-    if ineq.outcome == UNSUPPORTED:
-        return DirectionVerdict(
-            d,
-            METHOD_ORACLE,
-            orac.outcome,
-            orac.pairs_tested,
-            orac.max_slack,
-            orac.counterexample,
-            inequality_outcome=UNSUPPORTED,
-            oracle_outcome=orac.outcome,
-            methods_agree=None,
-            conjectural_outcome=conjectural,
-        )
-    agree = ineq.outcome == orac.outcome
-    slacks = [s for s in (ineq.max_slack, orac.max_slack) if s is not None]
-    outcome = ineq.outcome if agree else orac.outcome
-    cex = ineq.counterexample if ineq.counterexample is not None else orac.counterexample
-    if outcome == PASS_AT_RESOLUTION:
-        cex = None
-    return DirectionVerdict(
-        d,
-        METHOD_BOTH,
-        outcome,
-        ineq.pairs_tested + orac.pairs_tested,
-        max(slacks) if slacks else None,
-        cex,
-        inequality_outcome=ineq.outcome,
-        oracle_outcome=orac.outcome,
-        methods_agree=agree,
-        conjectural_outcome=conjectural,
-    )
+    cex = verdict.counterexample
+    if cex is not None and not recheck_counterexample(spec, cex, tol, eps_den, notion):
+        # the scan and the scalar path disagree: an internal defect
+        verdict = replace(verdict, methods_agree=False)
+    return verdict
 
 
 def scan_all_directions(

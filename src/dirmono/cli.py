@@ -6,14 +6,16 @@ write the report in the requested format.
 
 Exit codes: 0 every requested direction passed at the grid resolution,
 1 some direction was refuted (or could not be fully checked), 2 usage or
-configuration error, 3 the two check methods disagreed somewhere (an
-internal defect worth reporting, not a property of the copula).
+configuration error, 3 the two check methods disagreed somewhere or a
+reported counterexample did not re-verify (an internal defect worth
+reporting, not a property of the copula).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Sequence
@@ -113,6 +115,21 @@ def _build_spec(family: str, dim: int, params: dict[str, float]) -> CopulaSpec:
     return CopulaSpec(family=family, dim=dim, params=params)
 
 
+def _typed(value, key: str, kind, name: str):
+    """``value`` unchanged if it has json type ``kind``, else a UsageError."""
+    # json true/false arrive as bool, which is a subclass of int
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+        raise UsageError(f"{key} must be {name}, got {value!r}")
+    return value
+
+
+def _positive(value, key: str) -> float:
+    x = float(_typed(value, key, (int, float), "a number"))
+    if not (math.isfinite(x) and x > 0):
+        raise UsageError(f"{key} must be finite and positive, got {x}")
+    return x
+
+
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Turn argv (after the program name) into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
@@ -124,16 +141,13 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     dim = _pick(args.dim, config, "dim", None)
     if dim is None:
         raise UsageError("--dim is required (flag or config file)")
-    try:
-        dim = int(dim)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad dimension {dim!r}") from exc
+    dim = _typed(dim, "dim", int, "an integer")
 
     params: dict[str, float] = {}
     for flag_value, key in ((args.lam, "lambda"), (args.delta, "delta"), (args.theta, "theta")):
         value = _pick(flag_value, config, key, None)
         if value is not None:
-            params[key] = float(value)
+            params[key] = float(_typed(value, key, (int, float), "a number"))
 
     spec = _build_spec(str(family), dim, params)
     try:
@@ -141,12 +155,18 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     except (ParameterError, DimensionError) as exc:
         raise UsageError(str(exc)) from exc
 
-    all_dirs = bool(args.all_directions or config.get("all_directions", False))
+    all_dirs = args.all_directions or _typed(
+        config.get("all_directions", False), "all_directions", bool, "true or false"
+    )
     tokens = args.direction if args.direction else config.get("direction")
     directions = None
     if tokens is not None and not all_dirs:
         if isinstance(tokens, str):
             tokens = [tokens]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise UsageError(
+                f"direction must be a sign token or a list of them, got {tokens!r}"
+            )
         try:
             parsed = tuple(direction_from_token(t) for t in tokens)
         except (DirectionError, DimensionError) as exc:
@@ -158,7 +178,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
                 )
         directions = parsed
 
-    grid = int(_pick(args.grid, config, "grid", GridSpec.default_resolution(dim)))
+    grid = _pick(args.grid, config, "grid", GridSpec.default_resolution(dim))
+    grid = _typed(grid, "grid", int, "an integer")
     if grid < 2:
         raise UsageError(f"grid resolution must be >= 2, got {grid}")
     method = str(_pick(args.method, config, "method", "both"))
@@ -169,18 +190,17 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         notion = Notion(notion_token)
     except ValueError as exc:
         raise UsageError(f"unknown notion {notion_token!r}") from exc
-    tol = float(_pick(args.tol, config, "tol", 1e-9))
-    if not tol > 0:
-        raise UsageError(f"tol must be positive, got {tol}")
-    eps_den = float(_pick(args.eps_den, config, "eps_den", DEFAULT_EPS_DEN))
-    if not eps_den > 0:
-        raise UsageError(f"eps_den must be positive, got {eps_den}")
+    tol = _positive(_pick(args.tol, config, "tol", 1e-9), "tol")
+    eps_den = _positive(_pick(args.eps_den, config, "eps_den", DEFAULT_EPS_DEN), "eps_den")
     fmt = str(_pick(args.fmt, config, "format", "text"))
     if fmt not in ("text", "json", "csv"):
         raise UsageError(f"unknown format {fmt!r}")
     out = _pick(args.out, config, "out", None)
-    conjectural = bool(
-        args.allow_conjectural_pure or config.get("allow_conjectural_pure", False)
+    if out is not None:
+        _typed(out, "out", str, "a path")
+    conjectural = args.allow_conjectural_pure or _typed(
+        config.get("allow_conjectural_pure", False), "allow_conjectural_pure", bool,
+        "true or false",
     )
 
     return RunConfig(

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dirmono import (
     UNSUPPORTED,
     UnsupportedDirectionError,
     all_directions,
+    cdf,
     check_direction_inequality,
     check_direction_oracle,
     check_pair_mixed,
@@ -22,7 +25,11 @@ from dirmono import (
     recheck_counterexample,
     scan_all_directions,
     scan_direction,
+    survival_cdf,
 )
+from dirmono import checker
+from dirmono.checker import DEFAULT_TOL, Counterexample, _grid_pairs, _pairwise_verdict
+from helpers import family_zoo
 
 
 def pass_set(verdicts):
@@ -330,3 +337,96 @@ class TestDecreasingNotion:
         inc_mixed = {v.direction.signs: v.outcome for v in inc if not v.direction.is_pure}
         assert dec_mixed == inc_mixed
         assert set(dec_mixed.values()) == {PASS_AT_RESOLUTION}
+
+
+def _scalar_pair_scan(spec, d, g, pair_check):
+    """Plain loop over ordered lattice pairs in lexicographic (u, u') order.
+
+    ``pair_check(u, up)`` returns the pair's Counterexample whatever its
+    sign (tol = -inf); the result has the shape of a DirectionVerdict.
+    """
+    pts = GridSpec(g).points()
+    lattice = list(product(range(g), repeat=spec.dim))
+    pairs, max_slack, first = 0, None, None
+    for a in lattice:
+        for b in lattice:
+            if any(i > j for i, j in zip(a, b)):
+                continue
+            cex = pair_check(pts[list(a)], pts[list(b)])
+            pairs += 1
+            max_slack = cex.violation if max_slack is None else max(max_slack, cex.violation)
+            if first is None and cex.violation > DEFAULT_TOL:
+                first = cex
+    return (REFUTED if first else PASS_AT_RESOLUTION), pairs, max_slack, first
+
+
+def _summary(v):
+    return v.outcome, v.pairs_tested, v.max_slack, v.counterexample
+
+
+class TestGatheredMatchesScalar:
+    @pytest.mark.parametrize(
+        "spec", [s for s in family_zoo() if s.dim <= 3], ids=lambda s: s.describe()
+    )
+    def test_every_direction_pair_by_pair(self, spec):
+        for d in all_directions(spec.dim):
+            if d.is_pure:
+                def pair_check(u, up, sign=d.signs[0]):
+                    return check_pair_pure(spec, sign, u, up, tol=-np.inf)
+            else:
+                def pair_check(u, up, d=d):
+                    return check_pair_mixed(spec, d, u, up, tol=-np.inf)
+            gathered = check_direction_inequality(spec, d, GridSpec(3))
+            assert _summary(gathered) == _scalar_pair_scan(spec, d, 3, pair_check), d.pretty()
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in family_zoo() if s.dim == 4], ids=lambda s: s.describe()
+    )
+    def test_conjectural_single_swap_dim_four(self, spec):
+        grid = GridSpec(2)
+        for sign in (1, -1):
+            d = make_direction([sign] * 4)
+            evaluate = cdf if sign < 0 else survival_cdf
+
+            def pair_check(u, up):
+                lo = np.concatenate([up[:1], u[1:]])
+                hi = np.concatenate([u[:1], up[1:]])
+                lhs = evaluate(spec, lo) * evaluate(spec, hi)
+                rhs = evaluate(spec, u) * evaluate(spec, up)
+                return Counterexample(d, tuple(u), tuple(up), lhs, rhs, lhs - rhs)
+
+            gathered = _pairwise_verdict(
+                spec, d, grid, _grid_pairs(grid, 4), DEFAULT_TOL, Notion.INCREASING
+            )
+            assert _summary(gathered) == _scalar_pair_scan(spec, d, 2, pair_check)
+
+
+class TestVacuousOracle:
+    def test_oracle_without_comparisons_is_unsupported(self):
+        spec = CopulaSpec("product", 2)
+        for v in scan_all_directions(spec, GridSpec(5), method=METHOD_ORACLE, eps_den=1.0):
+            assert v.outcome == UNSUPPORTED
+            assert v.pairs_tested == 0
+
+    def test_both_defers_to_inequality(self):
+        spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        grid = GridSpec(9)
+        for v in scan_all_directions(spec, grid, method=METHOD_BOTH, eps_den=1.0):
+            ineq = check_direction_inequality(spec, v.direction, grid)
+            assert v.method == METHOD_INEQUALITY
+            assert v.oracle_outcome == UNSUPPORTED
+            assert v.methods_agree is None
+            assert _summary(v) == _summary(ineq)
+
+
+class TestScanRechecks:
+    def test_unconfirmed_counterexample_marks_disagreement(self, monkeypatch):
+        spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        refuted, passing = make_direction([1, -1]), make_direction([1, 1])
+        assert scan_direction(spec, refuted, GridSpec(9)).methods_agree is True
+        monkeypatch.setattr(checker, "recheck_counterexample", lambda *a, **k: False)
+        for method in (METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH):
+            v = scan_direction(spec, refuted, GridSpec(9), method=method)
+            assert v.outcome == REFUTED
+            assert v.methods_agree is False
+        assert scan_direction(spec, passing, GridSpec(9)).methods_agree is True

@@ -15,6 +15,7 @@ from dirmono import (
     report_from_json,
     report_to_json,
 )
+from dirmono import checker
 from dirmono.checker import DirectionVerdict, PASS_AT_RESOLUTION, REFUTED, UNSUPPORTED
 from dirmono.cli import UsageError, parse_config, run
 from dirmono.core import make_direction
@@ -79,6 +80,9 @@ class TestParseConfig:
             ["check", "--family", "product", "--dim", "3", "--direction", "+,-"],
             ["check", "--family", "product", "--dim", "2", "--grid", "1"],
             ["check", "--family", "product", "--dim", "2", "--tol", "0"],
+            ["check", "--family", "product", "--dim", "2", "--tol", "inf"],
+            ["check", "--family", "product", "--dim", "2", "--tol", "nan"],
+            ["check", "--family", "product", "--dim", "2", "--eps-den", "inf"],
             ["check", "--dim", "2"],
         ],
     )
@@ -105,6 +109,31 @@ class TestParseConfig:
     def test_missing_config_file(self):
         with pytest.raises(UsageError):
             parse_config(["check", "--config", "/definitely/not/here.json"])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"grid": "abc"},
+            {"grid": 4.5},
+            {"lambda": "x"},
+            {"direction": 5},
+            {"direction": [5]},
+            {"dim": 2.7},
+            {"dim": True},
+            {"tol": "inf"},
+            {"eps_den": 1e999},
+            {"all_directions": "no"},
+            {"out": 5},
+        ],
+        ids=str,
+    )
+    def test_malformed_config_value_exits_two(self, tmp_path, bad):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"family": "fgm", "dim": 2, "lambda": 0.5, **bad}))
+        result = invoke("check", "--config", str(cfg_file))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("dirmono: error:")
 
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "typo.json"
@@ -171,6 +200,19 @@ class TestExitCodes:
         )
         report = ScanReport(cfg, (verdict,), ("+,-",), 0.0)
         assert exit_code(report) == 3
+
+    def test_oracle_without_comparisons_is_not_a_pass(self, capsys):
+        argv = ["check", "--family", "product", "--dim", "2", "--eps-den", "1", "--format", "json"]
+        assert run(parse_config(argv + ["--method", "oracle"])) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert {v["outcome"] for v in data["verdicts"]} == {UNSUPPORTED}
+        assert run(parse_config(argv + ["--method", "both"])) == 0
+
+    def test_unconfirmed_counterexample_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(checker, "recheck_counterexample", lambda *a, **k: False)
+        cfg = parse_config(["check", "--config", str(FIXTURES / "fgm2_mixed_refuted.json")])
+        assert run(cfg) == 3
+        capsys.readouterr()
 
     def test_empty_direction_list_is_vacuous_pass(self, tmp_path):
         cfg_file = tmp_path / "empty.json"
