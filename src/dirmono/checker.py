@@ -15,7 +15,9 @@ direction, both restricted to a finite interior lattice:
 Every point either route touches is a lattice point, so both evaluate
 one table per direction on the g^n lattice (F_d, or for the pure
 single-swap form the copula or survival copula) and become index
-arithmetic on it.  The scalar pair and conditional functions are the
+arithmetic on it.  The oracle gathers its conditionals from that table
+one block of target rows at a time, so its memory is O(block + g^n),
+never g^n x g^n.  The scalar pair and conditional functions are the
 independent recheck path: every counterexample a scan reports is
 recomputed through them, and one that does not re-verify is flagged as
 a disagreement.
@@ -30,8 +32,9 @@ explicit conjectural flag but never contributes to official verdicts.
 Scans evaluate every pair (no short-circuit) so that slack statistics
 are always complete; the reported counterexample is the first violation
 in lexicographic order of the concatenated pair coordinates (inequality)
-or of (target, condition, axis) indices (oracle), which keeps results
-deterministic and independent of any parallel execution strategy.
+or of the flat (target, earlier condition, axis) indices (oracle), which
+keeps results deterministic and independent of block size or any
+parallel execution strategy.
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ METHOD_ORACLE = "oracle"
 METHOD_BOTH = "both"
 
 _DEFAULT_RESOLUTIONS = {2: 21, 3: 9, 4: 6, 5: 4}
+
+# entries of the oracle's per-block conditional matrix (target rows x g^n
+# conditions); larger blocks gain little speed and raise peak memory
+_BLOCK = 1 << 16
 
 
 class UnsupportedDirectionError(ValueError):
@@ -311,95 +318,82 @@ def check_direction_oracle(
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
     skipped; a direction left with no comparison is unsupported.
+
+    Conditionals are gathered from the direction's lattice table one
+    block of target rows at a time, so memory stays O(_BLOCK + g^n).  The
+    reported violation is the one with the smallest key
+    (p * g^n + q) * n + k, for flat target index p, flat index q of the
+    earlier condition and axis k.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
-    g = grid.resolution
-    n = spec.dim
-    shape = (g,) * n
-    total = g**n
-    idx, grid_points, strides = _lattice(grid, n)
-    f_grid = np.asarray(_orthant_array(spec, d, grid_points))
+    g, n = grid.resolution, spec.dim
+    idx, points, strides = _lattice(grid, n)
+    total = len(points)
+    table = _orthant_array(spec, d, points)
+    den = np.where(table >= eps_den, table, np.nan)
 
-    flat_join = np.zeros((total, total), dtype=np.int64)
+    # per axis: the flat-index part of join(target, condition) as a g x g
+    # table, shaped so that a row per target broadcasts over the condition
+    # lattice, and the conditions with a neighbour one step along d
+    span = np.arange(g)
+    joins, shifts, earliers = [], [], []
     for k in range(n):
-        a = idx[:, k][:, None]
-        b = idx[:, k][None, :]
-        joined = np.maximum(a, b) if k in d.pos_idx else np.minimum(a, b)
-        flat_join += joined.astype(np.int64) * strides[k]
-
-    defined = f_grid >= eps_den
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = f_grid[flat_join] / f_grid[None, :]
-    cond[:, ~defined] = np.nan
-    cond = cond.reshape((total,) + shape)
+        up = k in d.pos_idx
+        outer = (np.maximum if up else np.minimum).outer(span, span) * strides[k]
+        joins.append(outer.reshape((g,) + (1,) * k + (g,) + (1,) * (n - 1 - k)))
+        shifts.append(int(strides[k]) if up else -int(strides[k]))
+        earliers.append(np.flatnonzero(idx[:, k] < g - 1 if up else idx[:, k] > 0))
 
     comparisons = 0
     max_slack: float | None = None
-    first: tuple[tuple[int, int, int], Counterexample] | None = None
-    increasing = notion is Notion.INCREASING
-    for k in range(n):
-        axis = 1 + k
-        sl_lo = [slice(None)] * (n + 1)
-        sl_hi = [slice(None)] * (n + 1)
-        sl_lo[axis] = slice(0, g - 1)
-        sl_hi[axis] = slice(1, g)
-        lower = cond[tuple(sl_lo)]
-        higher = cond[tuple(sl_hi)]
-        step_up = k in d.pos_idx
-        earlier, later = (lower, higher) if step_up else (higher, lower)
-        lhs, rhs = (earlier, later) if increasing else (later, earlier)
-        ok = np.isfinite(lhs) & np.isfinite(rhs)
-        comparisons += int(ok.sum())
-        if not ok.any():
-            continue
-        slack = lhs - rhs
-        local_max = float(slack[ok].max())
-        max_slack = local_max if max_slack is None else max(max_slack, local_max)
-        violating = ok & (slack > tol)
-        if not violating.any():
-            continue
-        loc = np.unravel_index(int(np.argmax(violating)), violating.shape)
-        p = int(loc[0])
-        cond_idx = list(loc[1:])
-        # map the sliced condition index back to the earlier point's index
-        earlier_idx = list(cond_idx)
-        later_idx = list(cond_idx)
-        if step_up:
-            later_idx[k] += 1
-        else:
-            earlier_idx[k] += 1
-        pts = grid.points()
-        earlier_pt = tuple(pts[i] for i in earlier_idx)
-        later_pt = tuple(pts[i] for i in later_idx)
-        low_pt, high_pt = (
-            (earlier_pt, later_pt) if step_up else (later_pt, earlier_pt)
-        )
-        q_flat = int(sum(e * s for e, s in zip(earlier_idx, strides)))
-        key = (p, q_flat, k)
-        if first is None or key < first[0]:
-            lhs_val = float(lhs[loc])
-            rhs_val = float(rhs[loc])
-            cex = Counterexample(
-                d,
-                low_pt,
-                high_pt,
-                lhs_val,
-                rhs_val,
-                lhs_val - rhs_val,
-                kind="step",
-                target=tuple(grid_points[p]),
-                axis=k,
-            )
-            first = (key, cex)
+    first: tuple[int, float, float] | None = None
+    rows = max(1, _BLOCK // total)
+    for p0 in range(0, total, rows):
+        block = idx[p0 : p0 + rows]
+        join = sum(joins[k][block[:, k]] for k in range(n))
+        cond = table[join.reshape(len(block), total)] / den
+        for k in range(n):
+            earlier = earliers[k]
+            lhs, rhs = cond[:, earlier], cond[:, earlier + shifts[k]]
+            if notion is Notion.DECREASING:
+                lhs, rhs = rhs, lhs
+            ok = np.isfinite(lhs) & np.isfinite(rhs)
+            count = int(ok.sum())
+            if not count:
+                continue
+            comparisons += count
+            slack = lhs - rhs
+            local_max = float(slack[ok].max())
+            max_slack = local_max if max_slack is None else max(max_slack, local_max)
+            violating = ok & (slack > tol)
+            if violating.any():
+                r, c = divmod(int(np.argmax(violating)), len(earlier))
+                key = ((p0 + r) * total + int(earlier[c])) * n + k
+                if first is None or key < first[0]:
+                    first = (key, float(lhs[r, c]), float(rhs[r, c]))
 
-    if first is not None:
-        return DirectionVerdict(
-            d, METHOD_ORACLE, REFUTED, comparisons, max_slack, first[1]
-        )
-    # no defined comparison at all would make a pass vacuous
-    outcome = PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
-    return DirectionVerdict(d, METHOD_ORACLE, outcome, comparisons, max_slack, None)
+    if first is None:
+        # no defined comparison at all would make a pass vacuous
+        outcome = PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
+        return DirectionVerdict(d, METHOD_ORACLE, outcome, comparisons, max_slack, None)
+    key, lhs_val, rhs_val = first
+    p, rest = divmod(key, total * n)
+    q, k = divmod(rest, n)
+    earlier_pt, later_pt = tuple(points[q]), tuple(points[q + shifts[k]])
+    low_pt, high_pt = (earlier_pt, later_pt) if shifts[k] > 0 else (later_pt, earlier_pt)
+    cex = Counterexample(
+        d,
+        low_pt,
+        high_pt,
+        lhs_val,
+        rhs_val,
+        lhs_val - rhs_val,
+        kind="step",
+        target=tuple(points[p]),
+        axis=k,
+    )
+    return DirectionVerdict(d, METHOD_ORACLE, REFUTED, comparisons, max_slack, cex)
 
 
 def scan_direction(

@@ -18,7 +18,7 @@ dim) and are pure.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,19 +44,23 @@ def marginal_cdf(spec: CopulaSpec, indices: Iterable[int], u) -> float | np.ndar
             f"point with {arr.shape[-1] if arr.ndim else 0} coordinates "
             f"does not match copula of dim {spec.dim}"
         )
-    if not idx:
-        ones = np.ones(arr.shape[:-1])
-        return float(ones) if ones.ndim == 0 else ones
-    if len(idx) == spec.dim:
-        out = _cdf_array(spec, arr)
-    else:
-        point = np.ones_like(arr)
-        for i in idx:
-            point[..., i] = arr[..., i]
-        out = _cdf_array(spec, point)
+    out = _pinned_cdf(spec, idx, arr)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _pinned_cdf(spec: CopulaSpec, selected: Sequence[int], arr: np.ndarray) -> np.ndarray:
+    """Copula at ``arr`` with the coordinates outside ``selected`` (distinct
+    valid indices) pinned to 1; the empty selection gives ones."""
+    if len(selected) == spec.dim:
+        return _cdf_array(spec, arr)
+    if not selected:
+        return np.ones(arr.shape[:-1])
+    point = np.ones_like(arr)
+    for i in selected:
+        point[..., i] = arr[..., i]
+    return _cdf_array(spec, point)
 
 
 def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
@@ -86,17 +90,7 @@ def _orthant_array(spec: CopulaSpec, d: Direction, arr: np.ndarray) -> np.ndarra
     for size in range(len(d.pos_idx) + 1):
         sign = -1.0 if size % 2 else 1.0
         for subset in itertools.combinations(d.pos_idx, size):
-            selected = d.neg_idx + subset
-            if len(selected) == spec.dim:
-                term = _cdf_array(spec, arr)
-            elif not selected:
-                term = np.ones(arr.shape[:-1])
-            else:
-                point = np.ones_like(arr)
-                for i in selected:
-                    point[..., i] = arr[..., i]
-                term = _cdf_array(spec, point)
-            total = total + sign * term
+            total = total + sign * _pinned_cdf(spec, d.neg_idx + subset, arr)
     return total
 
 

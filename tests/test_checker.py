@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,7 @@ from dirmono import (
     check_direction_oracle,
     check_pair_mixed,
     check_pair_pure,
+    conditional_prob,
     make_direction,
     orthant_prob,
     recheck_counterexample,
@@ -430,3 +432,90 @@ class TestScanRechecks:
             assert v.outcome == REFUTED
             assert v.methods_agree is False
         assert scan_direction(spec, passing, GridSpec(9)).methods_agree is True
+
+
+def _scalar_oracle_scan(spec, d, g):
+    """Plain loop over (target, condition, axis) in lexicographic order.
+
+    Every conditional goes through ``conditional_prob`` once and is reused
+    by both notions; the result maps each notion to the shape of a
+    DirectionVerdict.
+    """
+    pts = GridSpec(g).points()
+    lattice = list(product(range(g), repeat=spec.dim))
+    conds = {
+        (t, q): conditional_prob(spec, d, pts[list(t)], pts[list(q)])
+        for t in lattice
+        for q in lattice
+    }
+    results = {}
+    for notion in Notion:
+        comparisons, max_slack, first = 0, None, None
+        for t, q in conds:
+            for k, sign in enumerate(d.signs):
+                nb = q[:k] + (q[k] + sign,) + q[k + 1 :]
+                if not 0 <= nb[k] < g or conds[t, q] is None or conds[t, nb] is None:
+                    continue
+                lhs, rhs = conds[t, q], conds[t, nb]
+                if notion is Notion.DECREASING:
+                    lhs, rhs = rhs, lhs
+                comparisons += 1
+                max_slack = lhs - rhs if max_slack is None else max(max_slack, lhs - rhs)
+                if first is None and lhs - rhs > DEFAULT_TOL:
+                    low, high = (q, nb) if sign > 0 else (nb, q)
+                    first = Counterexample(
+                        d, tuple(pts[list(low)]), tuple(pts[list(high)]), lhs, rhs,
+                        lhs - rhs, kind="step", target=tuple(pts[list(t)]), axis=k,
+                    )
+        outcome = REFUTED if first else PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
+        results[notion] = outcome, comparisons, max_slack, first
+    return results
+
+
+def _oracle_cases():
+    cases = [(s, 3 if s.dim == 2 else 2) for s in family_zoo() if s.dim <= 3]
+    return cases + [(CopulaSpec("fgm", 3, {"lambda": -0.5}), 3)]
+
+
+class TestOracleMatchesScalar:
+    @pytest.mark.parametrize(
+        "spec, g", _oracle_cases(), ids=lambda c: c.describe() if isinstance(c, CopulaSpec) else f"g{c}"
+    )
+    def test_every_direction_and_notion(self, spec, g):
+        for d in all_directions(spec.dim):
+            for notion, scalar in _scalar_oracle_scan(spec, d, g).items():
+                gathered = check_direction_oracle(spec, d, GridSpec(g), notion=notion)
+                assert _summary(gathered) == scalar, (d.pretty(), notion)
+
+    @pytest.mark.parametrize("block", [1, 75], ids=["one-row", "uneven"])
+    def test_block_size_does_not_change_verdicts(self, monkeypatch, block):
+        # 75 entries make blocks of 3 targets at g^n = 25 and of 2 at g^n = 27,
+        # so the last block is short
+        cases = [
+            (CopulaSpec("fgm", 2, {"lambda": 0.5}), GridSpec(5)),
+            (CopulaSpec("w", 2), GridSpec(5)),
+            (CopulaSpec("fgm", 3, {"lambda": -0.5}), GridSpec(3)),
+        ]
+        runs = [
+            (spec, d, grid, notion)
+            for spec, grid in cases
+            for d in all_directions(spec.dim)
+            for notion in Notion
+        ]
+        default = [check_direction_oracle(s, d, g, notion=nt) for s, d, g, nt in runs]
+        monkeypatch.setattr(checker, "_BLOCK", block)
+        blocked = [check_direction_oracle(s, d, g, notion=nt) for s, d, g, nt in runs]
+        assert blocked == default
+        assert any(v.outcome == REFUTED for v in default)
+
+    def test_memory_stays_within_blocks(self):
+        # the dense g^n x g^n matrices of a direct evaluation would take
+        # over 40 MiB here (g^n = 1600)
+        spec = CopulaSpec("amh", 2, {"delta": 0.5})
+        tracemalloc.start()
+        try:
+            check_direction_oracle(spec, make_direction([1, 1]), GridSpec(40))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
