@@ -13,14 +13,19 @@ direction, both restricted to a finite interior lattice:
   the conditioning point takes one grid step along that axis.
 
 Every point either route touches is a lattice point, so both evaluate
-one table per direction on the g^n lattice (F_d, or for the pure
-single-swap form the copula or survival copula) and become index
-arithmetic on it.  The oracle gathers its conditionals from that table
-one block of target rows at a time, so its memory is O(block + g^n),
-never g^n x g^n.  The scalar pair and conditional functions are the
-independent recheck path: every counterexample a scan reports is
-recomputed through them, and one that does not re-verify is flagged as
-a disagreement.
+one table per direction on the lattice, as an n-D array of shape (g,)*n
+(F_d, or for the pure single-swap form the copula or survival copula),
+and become index arithmetic on it through one helper, ``_flat``, that
+maps per-axis lattice indices to flat table indices for every
+combination of them.  The inequality route gathers each side of every
+ordered pair from the per-axis pairs lo <= hi, so it holds a few numbers
+per pair and no per-pair index vectors.  The oracle gathers its
+conditionals one block of target rows at a time, shaped (rows, g, ...,
+g), and compares the :-1 and 1: slices of each axis in the order d gives
+it, so its memory is O(block + g^n), never g^n x g^n.  The scalar pair
+and conditional functions are the independent recheck path: every
+counterexample a scan reports is recomputed through them, and one that
+does not re-verify is flagged as a disagreement.
 
 A direction that survives every check at a given resolution is reported
 as a pass at that resolution, never as proved; an oracle scan left with
@@ -218,27 +223,22 @@ def check_pair_pure(
     return None
 
 
-def _lattice(grid: GridSpec, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index vectors of the g^n lattice in flat (row-major) order, their
-    points, and the strides that map an index vector to its flat index."""
-    g = grid.resolution
-    idx = np.indices((g,) * dim).reshape(dim, -1).T
-    strides = np.array([g ** (dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    return idx, grid.points()[idx], strides
-
-
-def _grid_pairs(grid: GridSpec, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice index vectors (one row per pair) of all ordered pairs u <= u'."""
-    lo, hi = np.triu_indices(grid.resolution)
-    mesh = np.indices((lo.size,) * dim).reshape(dim, -1)
-    return lo[mesh].T, hi[mesh].T
+def _flat(parts: Sequence[np.ndarray], g: int) -> np.ndarray:
+    """Flat (row-major) indices into the (g,)*n lattice of every combination
+    of per-axis lattice indices: ``parts[k]`` has shape (rows, m_k), and the
+    result has shape (rows, m_0, ..., m_{n-1})."""
+    n = len(parts)
+    flat = 0
+    for k, part in enumerate(parts):
+        rows, m = part.shape
+        flat = flat * g + part.reshape((rows,) + (1,) * k + (m,) + (1,) * (n - 1 - k))
+    return flat
 
 
 def _pairwise_verdict(
     spec: CopulaSpec,
     d: Direction,
     grid: GridSpec,
-    pairs: tuple[np.ndarray, np.ndarray],
     tol: float,
     notion: Notion,
 ) -> DirectionVerdict:
@@ -247,38 +247,50 @@ def _pairwise_verdict(
     Mixed directions swap the negative-axis coordinates of u and u';
     pure ones swap axis 0 and read the copula or survival table.
     """
-    u_idx, up_idx = pairs
-    _, points, strides = _lattice(grid, spec.dim)
-    swap = [0] if d.is_pure else list(d.neg_idx)
-    u, up = u_idx @ strides, up_idx @ strides
-    shift = (up_idx[:, swap] - u_idx[:, swap]) @ strides[swap]
-    lo, hi = u + shift, up - shift
+    g, n = grid.resolution, spec.dim
+    lattice = grid.points()[np.stack(np.indices((g,) * n), axis=-1)]
     if d.is_pure:
-        table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, points)
-        lhs, rhs = table[lo] * table[hi], table[u] * table[up]
+        table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, lattice)
     else:
-        table = _orthant_array(spec, d, points)
-        lhs, rhs = table[u] * table[up], table[lo] * table[hi]
+        table = _orthant_array(spec, d, lattice)
+    table = table.ravel()
+    # per axis, every ordered pair lo <= hi of lattice indices
+    lo, hi = (a[None] for a in np.triu_indices(g))
+
+    def corners(swapped: Sequence[int]) -> np.ndarray:
+        # F at the pair's two corners, with lo and hi traded on ``swapped``
+        low = [hi if k in swapped else lo for k in range(n)]
+        high = [lo if k in swapped else hi for k in range(n)]
+        return table[_flat(low, g)] * table[_flat(high, g)]
+
+    plain, crossed = corners(()), corners([0] if d.is_pure else d.neg_idx)
+    lhs, rhs = (crossed, plain) if d.is_pure else (plain, crossed)
     if notion is Notion.DECREASING:
         lhs, rhs = rhs, lhs
     slack = lhs - rhs
     max_slack = float(slack.max())
     violating = slack > tol
-    if violating.any():
-        # the first violation in lexicographic (u, u') order
-        hits = np.flatnonzero(violating)
-        i = int(hits[np.argmin(u[hits] * len(points) + up[hits])])
-        cex = Counterexample(
-            d,
-            tuple(points[u[i]]),
-            tuple(points[up[i]]),
-            float(lhs[i]),
-            float(rhs[i]),
-            float(slack[i]),
-            kind="pair",
+    if not violating.any():
+        return DirectionVerdict(
+            d, METHOD_INEQUALITY, PASS_AT_RESOLUTION, slack.size, max_slack, None
         )
-        return DirectionVerdict(d, METHOD_INEQUALITY, REFUTED, len(slack), max_slack, cex)
-    return DirectionVerdict(d, METHOD_INEQUALITY, PASS_AT_RESOLUTION, len(slack), max_slack, None)
+    # the first violation in lexicographic (u, u') order: smallest
+    # flat(u) * g^n + flat(u')
+    key = _flat([lo * table.size + hi] * n, g)
+    key[~violating] = np.iinfo(key.dtype).max
+    i = int(key.argmin())
+    u, up = divmod(int(key.flat[i]), table.size)
+    points = lattice.reshape(-1, n)
+    cex = Counterexample(
+        d,
+        tuple(points[u]),
+        tuple(points[up]),
+        float(lhs.flat[i]),
+        float(rhs.flat[i]),
+        float(slack.flat[i]),
+        kind="pair",
+    )
+    return DirectionVerdict(d, METHOD_INEQUALITY, REFUTED, slack.size, max_slack, cex)
 
 
 def check_direction_inequality(
@@ -287,7 +299,6 @@ def check_direction_inequality(
     grid: GridSpec,
     tol: float = DEFAULT_TOL,
     notion: Notion = Notion.INCREASING,
-    _pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DirectionVerdict:
     """Scan every ordered grid pair with the pairwise inequality.
 
@@ -298,8 +309,7 @@ def check_direction_inequality(
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
     if d.is_pure and spec.dim > 3:
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
-    pairs = _pairs if _pairs is not None else _grid_pairs(grid, spec.dim)
-    return _pairwise_verdict(spec, d, grid, pairs, tol, notion)
+    return _pairwise_verdict(spec, d, grid, tol, notion)
 
 
 def check_direction_oracle(
@@ -328,60 +338,60 @@ def check_direction_oracle(
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
     g, n = grid.resolution, spec.dim
-    idx, points, strides = _lattice(grid, n)
-    total = len(points)
-    table = _orthant_array(spec, d, points)
+    shape = (g,) * n
+    lattice = grid.points()[np.stack(np.indices(shape), axis=-1)]
+    table = _orthant_array(spec, d, lattice)
     den = np.where(table >= eps_den, table, np.nan)
-
-    # per axis: the flat-index part of join(target, condition) as a g x g
-    # table, shaped so that a row per target broadcasts over the condition
-    # lattice, and the conditions with a neighbour one step along d
+    total = table.size
+    # per axis, the lattice index of join(target, condition) as a g x g table
     span = np.arange(g)
-    joins, shifts, earliers = [], [], []
-    for k in range(n):
-        up = k in d.pos_idx
-        outer = (np.maximum if up else np.minimum).outer(span, span) * strides[k]
-        joins.append(outer.reshape((g,) + (1,) * k + (g,) + (1,) * (n - 1 - k)))
-        shifts.append(int(strides[k]) if up else -int(strides[k]))
-        earliers.append(np.flatnonzero(idx[:, k] < g - 1 if up else idx[:, k] > 0))
+    joins = [(np.maximum if k in d.pos_idx else np.minimum).outer(span, span) for k in range(n)]
+
+    def step(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        # (earlier, later) views of arr's trailing lattice axes for one
+        # step along d on axis k
+        head = (Ellipsis, slice(None, -1)) + (slice(None),) * (n - 1 - k)
+        tail = (Ellipsis, slice(1, None)) + (slice(None),) * (n - 1 - k)
+        return (arr[head], arr[tail]) if k in d.pos_idx else (arr[tail], arr[head])
 
     comparisons = 0
     max_slack: float | None = None
-    first: tuple[int, float, float] | None = None
+    first: tuple[int, int, float, float] | None = None
+    targets = np.indices(shape).reshape(n, total)
     rows = max(1, _BLOCK // total)
     for p0 in range(0, total, rows):
-        block = idx[p0 : p0 + rows]
-        join = sum(joins[k][block[:, k]] for k in range(n))
-        cond = table[join.reshape(len(block), total)] / den
+        block = targets[:, p0 : p0 + rows]
+        cond = table.ravel()[_flat([joins[k][block[k]] for k in range(n)], g)] / den
         for k in range(n):
-            earlier = earliers[k]
-            lhs, rhs = cond[:, earlier], cond[:, earlier + shifts[k]]
+            lhs, rhs = step(cond, k)
             if notion is Notion.DECREASING:
                 lhs, rhs = rhs, lhs
-            ok = np.isfinite(lhs) & np.isfinite(rhs)
+            slack = lhs - rhs
+            ok = np.isfinite(slack)
             count = int(ok.sum())
             if not count:
                 continue
             comparisons += count
-            slack = lhs - rhs
             local_max = float(slack[ok].max())
             max_slack = local_max if max_slack is None else max(max_slack, local_max)
             violating = ok & (slack > tol)
             if violating.any():
-                r, c = divmod(int(np.argmax(violating)), len(earlier))
-                key = ((p0 + r) * total + int(earlier[c])) * n + k
+                earlier, later = step(np.arange(total).reshape(shape), k)
+                r, c = divmod(int(np.argmax(violating)), earlier.size)
+                key = ((p0 + r) * total + int(earlier.flat[c])) * n + k
                 if first is None or key < first[0]:
-                    first = (key, float(lhs[r, c]), float(rhs[r, c]))
+                    first = (key, int(later.flat[c]), float(lhs[r].flat[c]), float(rhs[r].flat[c]))
 
     if first is None:
         # no defined comparison at all would make a pass vacuous
         outcome = PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
         return DirectionVerdict(d, METHOD_ORACLE, outcome, comparisons, max_slack, None)
-    key, lhs_val, rhs_val = first
+    key, q_later, lhs_val, rhs_val = first
     p, rest = divmod(key, total * n)
     q, k = divmod(rest, n)
-    earlier_pt, later_pt = tuple(points[q]), tuple(points[q + shifts[k]])
-    low_pt, high_pt = (earlier_pt, later_pt) if shifts[k] > 0 else (later_pt, earlier_pt)
+    points = lattice.reshape(-1, n)
+    earlier_pt, later_pt = tuple(points[q]), tuple(points[q_later])
+    low_pt, high_pt = (earlier_pt, later_pt) if k in d.pos_idx else (later_pt, earlier_pt)
     cex = Counterexample(
         d,
         low_pt,
@@ -405,7 +415,6 @@ def scan_direction(
     eps_den: float = DEFAULT_EPS_DEN,
     notion: Notion = Notion.INCREASING,
     allow_conjectural_pure: bool = False,
-    _pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DirectionVerdict:
     """One direction, one combined verdict.
 
@@ -424,12 +433,10 @@ def scan_direction(
         and method != METHOD_ORACLE
     )
     if needs_conjectural:
-        pairs = _pairs if _pairs is not None else _grid_pairs(grid, spec.dim)
-        conj = _pairwise_verdict(spec, d, grid, pairs, tol, notion)
-        conjectural = conj.outcome
+        conjectural = _pairwise_verdict(spec, d, grid, tol, notion).outcome
 
     if method == METHOD_INEQUALITY:
-        ineq = check_direction_inequality(spec, d, grid, tol, notion, _pairs=_pairs)
+        ineq = check_direction_inequality(spec, d, grid, tol, notion)
         verdict = replace(
             ineq, inequality_outcome=ineq.outcome, conjectural_outcome=conjectural
         )
@@ -437,7 +444,7 @@ def scan_direction(
         orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
         verdict = replace(orac, oracle_outcome=orac.outcome)
     elif method == METHOD_BOTH:
-        ineq = check_direction_inequality(spec, d, grid, tol, notion, _pairs=_pairs)
+        ineq = check_direction_inequality(spec, d, grid, tol, notion)
         orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
         outcomes = dict(
             inequality_outcome=ineq.outcome,
@@ -485,24 +492,10 @@ def scan_all_directions(
 ) -> list[DirectionVerdict]:
     """Verdicts for every requested direction (default: all 2^n of them)."""
     validate(spec)
-    if directions is None:
-        chosen = all_directions(spec.dim)
-    else:
-        chosen = list(directions)
-    pairs: tuple[np.ndarray, np.ndarray] | None = None
-    if method != METHOD_ORACLE and chosen:
-        pairs = _grid_pairs(grid, spec.dim)
+    chosen = all_directions(spec.dim) if directions is None else directions
     return [
         scan_direction(
-            spec,
-            d,
-            grid,
-            method,
-            tol,
-            eps_den,
-            notion,
-            allow_conjectural_pure,
-            _pairs=pairs,
+            spec, d, grid, method, tol, eps_den, notion, allow_conjectural_pure
         )
         for d in chosen
     ]

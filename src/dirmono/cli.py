@@ -163,9 +163,11 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     if tokens is not None and not all_dirs:
         if isinstance(tokens, str):
             tokens = [tokens]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        if not isinstance(tokens, list) or not tokens or not all(
+            isinstance(t, str) for t in tokens
+        ):
             raise UsageError(
-                f"direction must be a sign token or a list of them, got {tokens!r}"
+                f"direction must be a sign token or a non-empty list of them, got {tokens!r}"
             )
         try:
             parsed = tuple(direction_from_token(t) for t in tokens)

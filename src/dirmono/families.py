@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -196,14 +197,30 @@ def survival_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
 
 
 def _survival_array(spec: CopulaSpec, arr: np.ndarray) -> np.ndarray:
-    n = spec.dim
-    reflected = 1.0 - arr
+    return _signed_sum(spec, 1.0 - arr, (), range(spec.dim))
+
+
+def _pinned_cdf(spec: CopulaSpec, selected: Sequence[int], arr: np.ndarray) -> np.ndarray:
+    """Copula at ``arr`` with the coordinates outside ``selected`` (distinct
+    valid indices) pinned to 1; the empty selection gives ones."""
+    if len(selected) == spec.dim:
+        return _cdf_array(spec, arr)
+    if not selected:
+        return np.ones(arr.shape[:-1])
+    point = np.ones_like(arr)
+    for i in selected:
+        point[..., i] = arr[..., i]
+    return _cdf_array(spec, point)
+
+
+def _signed_sum(
+    spec: CopulaSpec, arr: np.ndarray, fixed: tuple[int, ...], free: Sequence[int]
+) -> np.ndarray:
+    """Sum over subsets S of ``free`` of (-1)**|S| times the copula at
+    ``arr`` with every coordinate outside ``fixed`` and S pinned to 1."""
     total = np.zeros(arr.shape[:-1])
-    for size in range(n + 1):
+    for size in range(len(free) + 1):
         sign = -1.0 if size % 2 else 1.0
-        for subset in itertools.combinations(range(n), size):
-            point = np.ones_like(arr)
-            for i in subset:
-                point[..., i] = reflected[..., i]
-            total = total + sign * _cdf_array(spec, point)
+        for subset in itertools.combinations(free, size):
+            total = total + sign * _pinned_cdf(spec, fixed + subset, arr)
     return total

@@ -17,13 +17,12 @@ dim) and are pure.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .core import DimensionError, Direction, join_direction
-from .families import CopulaSpec, _cdf_array
+from .families import CopulaSpec, _pinned_cdf, _signed_sum
 
 DEFAULT_EPS_DEN = 1e-12
 
@@ -50,19 +49,6 @@ def marginal_cdf(spec: CopulaSpec, indices: Iterable[int], u) -> float | np.ndar
     return out
 
 
-def _pinned_cdf(spec: CopulaSpec, selected: Sequence[int], arr: np.ndarray) -> np.ndarray:
-    """Copula at ``arr`` with the coordinates outside ``selected`` (distinct
-    valid indices) pinned to 1; the empty selection gives ones."""
-    if len(selected) == spec.dim:
-        return _cdf_array(spec, arr)
-    if not selected:
-        return np.ones(arr.shape[:-1])
-    point = np.ones_like(arr)
-    for i in selected:
-        point[..., i] = arr[..., i]
-    return _cdf_array(spec, point)
-
-
 def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
     """Directional orthant probability F_d(v); see module docstring.
 
@@ -86,12 +72,7 @@ def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
 
 
 def _orthant_array(spec: CopulaSpec, d: Direction, arr: np.ndarray) -> np.ndarray:
-    total = np.zeros(arr.shape[:-1])
-    for size in range(len(d.pos_idx) + 1):
-        sign = -1.0 if size % 2 else 1.0
-        for subset in itertools.combinations(d.pos_idx, size):
-            total = total + sign * _pinned_cdf(spec, d.neg_idx + subset, arr)
-    return total
+    return _signed_sum(spec, arr, d.neg_idx, d.pos_idx)
 
 
 def conditional_prob(

@@ -289,36 +289,28 @@ _CSV_FIELDS = [
 ]
 
 
+def _csv_cell(value: Any) -> Any:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(repr(x) for x in value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
 def format_csv(report: ScanReport) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(
+        buf, fieldnames=_CSV_FIELDS, lineterminator="\n", extrasaction="ignore"
+    )
     writer.writeheader()
     for v in report.verdicts:
-        cex = v.counterexample
-        row = {
-            "direction": v.direction.token(),
-            "outcome": v.outcome,
-            "method": v.method,
-            "pairs_tested": v.pairs_tested,
-            "max_slack": repr(v.max_slack) if v.max_slack is not None else "",
-            "inequality_outcome": v.inequality_outcome or "",
-            "oracle_outcome": v.oracle_outcome or "",
-            "methods_agree": "" if v.methods_agree is None else str(v.methods_agree).lower(),
-            "conjectural_outcome": v.conjectural_outcome or "",
-            "cex_kind": cex.kind if cex else "",
-            "cex_u_low": ";".join(repr(float(x)) for x in cex.u_low) if cex else "",
-            "cex_u_high": ";".join(repr(float(x)) for x in cex.u_high) if cex else "",
-            "cex_lhs": repr(cex.lhs) if cex else "",
-            "cex_rhs": repr(cex.rhs) if cex else "",
-            "cex_violation": repr(cex.violation) if cex else "",
-            "cex_target": (
-                ";".join(repr(float(x)) for x in cex.target)
-                if cex and cex.target is not None
-                else ""
-            ),
-            "cex_axis": cex.axis + 1 if cex and cex.axis is not None else "",
-        }
-        writer.writerow(row)
+        row = _verdict_to_dict(v)
+        row.update((f"cex_{k}", x) for k, x in (_cex_to_dict(v.counterexample) or {}).items())
+        writer.writerow({k: _csv_cell(x) for k, x in row.items()})
     return buf.getvalue()
 
 

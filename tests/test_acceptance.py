@@ -294,6 +294,8 @@ _FIXTURE_EXPECTATIONS = {
 
 
 def test_fixture_suite_runs_with_expected_exit_codes():
+    # each report, timing removed, as the fixtures produced it when pinned
+    pinned = json.loads((REPO / "tests" / "fixture_reports.json").read_text())
     seen = set()
     for path in sorted(FIXTURES.glob("*.json")):
         expected = _FIXTURE_EXPECTATIONS[path.name]
@@ -309,6 +311,9 @@ def test_fixture_suite_runs_with_expected_exit_codes():
         if expected != 2:
             report = json.loads(result.stdout)
             assert report["schema_version"] == 1
+            del report["timing"]
+            assert report == pinned[path.name], f"{path.name}: report differs from pinned"
         seen.add(path.name)
     assert seen == set(_FIXTURE_EXPECTATIONS)
+    assert set(pinned) == {p for p, code in _FIXTURE_EXPECTATIONS.items() if code != 2}
     print(f"[acceptance] fixture suite: PASS  {len(seen)} configs with expected exit codes")

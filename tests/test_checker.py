@@ -30,7 +30,7 @@ from dirmono import (
     survival_cdf,
 )
 from dirmono import checker
-from dirmono.checker import DEFAULT_TOL, Counterexample, _grid_pairs, _pairwise_verdict
+from dirmono.checker import DEFAULT_TOL, Counterexample, _pairwise_verdict
 from helpers import family_zoo
 
 
@@ -397,9 +397,7 @@ class TestGatheredMatchesScalar:
                 rhs = evaluate(spec, u) * evaluate(spec, up)
                 return Counterexample(d, tuple(u), tuple(up), lhs, rhs, lhs - rhs)
 
-            gathered = _pairwise_verdict(
-                spec, d, grid, _grid_pairs(grid, 4), DEFAULT_TOL, Notion.INCREASING
-            )
+            gathered = _pairwise_verdict(spec, d, grid, DEFAULT_TOL, Notion.INCREASING)
             assert _summary(gathered) == _scalar_pair_scan(spec, d, 2, pair_check)
 
 
@@ -519,3 +517,23 @@ class TestOracleMatchesScalar:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestInequalityMemory:
+    @pytest.mark.parametrize(
+        "signs, outcome",
+        [((1, -1, 1), PASS_AT_RESOLUTION), ((1, 1, 1), REFUTED)],
+        ids=["passes", "refuted"],
+    )
+    def test_peak_stays_below_pair_index_arrays(self, signs, outcome):
+        # fgm (3,15) has 120^3 ~ 1.7M ordered pairs: per-pair index vectors
+        # for u and u' would take 186 MiB (passing) to 220 MiB (refuted)
+        spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
+        tracemalloc.start()
+        try:
+            v = check_direction_inequality(spec, make_direction(signs), GridSpec(15))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.outcome == outcome
+        assert peak < 96 * 2**20

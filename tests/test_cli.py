@@ -118,6 +118,7 @@ class TestParseConfig:
             {"lambda": "x"},
             {"direction": 5},
             {"direction": [5]},
+            {"direction": []},
             {"dim": 2.7},
             {"dim": True},
             {"tol": "inf"},
@@ -225,16 +226,6 @@ class TestExitCodes:
         code = run(parse_config(argv))
         capsys.readouterr()
         assert code != 3
-
-    def test_empty_direction_list_is_vacuous_pass(self, tmp_path):
-        cfg_file = tmp_path / "empty.json"
-        cfg_file.write_text(
-            json.dumps({"family": "product", "dim": 2, "direction": [], "format": "csv"})
-        )
-        result = invoke("check", "--config", str(cfg_file))
-        assert result.returncode == 0
-        lines = [ln for ln in result.stdout.splitlines() if ln.strip()]
-        assert len(lines) == 1  # header only
 
 
 class TestReportFormats:
