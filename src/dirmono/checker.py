@@ -22,8 +22,9 @@ ordered pair from the per-axis pairs lo <= hi, so it holds a few numbers
 per pair and no per-pair index vectors.  The oracle gathers its
 conditionals one block of target rows at a time, shaped (rows, g, ...,
 g), and compares the :-1 and 1: slices of each axis in the order d gives
-it, so its memory is O(block + g^n), never g^n x g^n.  The scalar pair
-and conditional functions are the independent recheck path: every
+it, so its memory is O(block + g^n), never g^n x g^n.  The scalar
+functions ``check_pair`` (one pair, either direction kind) and
+``conditional_prob`` are the independent recheck path: every
 counterexample a scan reports is recomputed through them, and one that
 does not re-verify is flagged as a disagreement.
 
@@ -55,7 +56,7 @@ from .core import (
     Notion,
     all_directions,
 )
-from .families import CopulaSpec, _cdf_array, _survival_array, validate
+from .families import CopulaSpec, _cdf_array, _survival_array, cdf, survival_cdf, validate
 from .orthant import (
     DEFAULT_EPS_DEN,
     _orthant_array,
@@ -149,7 +150,7 @@ class DirectionVerdict:
     conjectural_outcome: str | None = None
 
 
-def check_pair_mixed(
+def check_pair(
     spec: CopulaSpec,
     d: Direction,
     u: Sequence[float],
@@ -157,64 +158,38 @@ def check_pair_mixed(
     tol: float = DEFAULT_TOL,
     notion: Notion = Notion.INCREASING,
 ) -> Counterexample | None:
-    """Product inequality between orthant probabilities for one pair.
+    """Pairwise inequality for one ordered pair u <= up, through the scalar
+    evaluators.
 
-    Requires a mixed direction and u <= up componentwise.  Returns None
-    on a pass, otherwise the violating pair with both sides.
+    A mixed direction compares orthant probabilities with the
+    negative-axis coordinates of u and up traded; a pure one (dims 2 and
+    3 only) trades the first coordinate and reads the copula for the
+    all-negative direction, its survival transform for the all-positive
+    one.  Returns None on a pass, otherwise the pair with both sides.
     """
-    if d.is_pure:
-        raise UnsupportedDirectionError(
-            f"direction {d.pretty()} is pure; mixed-direction check does not apply"
-        )
     u = tuple(float(x) for x in u)
     up = tuple(float(x) for x in up)
-    if any(a > b for a, b in zip(u, up)):
-        raise ValueError("pair is not ordered: u <= u' componentwise required")
-    neg = set(d.neg_idx)
-    swapped_lo = tuple(up[i] if i in neg else u[i] for i in range(d.dim))
-    swapped_hi = tuple(u[i] if i in neg else up[i] for i in range(d.dim))
-    lhs = orthant_prob(spec, d, u) * orthant_prob(spec, d, up)
-    rhs = orthant_prob(spec, d, swapped_lo) * orthant_prob(spec, d, swapped_hi)
-    if notion is Notion.DECREASING:
-        lhs, rhs = rhs, lhs
-    violation = lhs - rhs
-    if violation > tol:
-        return Counterexample(d, u, up, lhs, rhs, violation, kind="pair")
-    return None
-
-
-def check_pair_pure(
-    spec: CopulaSpec,
-    sign: int,
-    u: Sequence[float],
-    up: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    notion: Notion = Notion.INCREASING,
-) -> Counterexample | None:
-    """First-coordinate-swap inequality for an all-equal-sign direction.
-
-    Supported for dims 2 and 3: the all-negative direction tests the
-    copula itself, the all-positive one tests its survival transform.
-    """
-    if spec.dim > 3:
+    if not spec.dim == d.dim == len(u) == len(up):
+        raise DimensionError(
+            f"direction dim {d.dim} and points of {len(u)}/{len(up)} coordinates "
+            f"do not match copula dim {spec.dim}"
+        )
+    if d.is_pure and spec.dim > 3:
         raise UnsupportedDirectionError(
             f"pure-direction pairwise check is not supported for dim {spec.dim}"
         )
-    if sign != 1 and sign != -1:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    u = tuple(float(x) for x in u)
-    up = tuple(float(x) for x in up)
     if any(a > b for a, b in zip(u, up)):
         raise ValueError("pair is not ordered: u <= u' componentwise required")
-    d = Direction(
-        signs=(sign,) * spec.dim,
-        neg_idx=tuple(range(spec.dim)) if sign < 0 else (),
-        pos_idx=tuple(range(spec.dim)) if sign > 0 else (),
-    )
-    arr = np.asarray([u, up, (up[0],) + u[1:], (u[0],) + up[1:]], dtype=float)
-    h = _cdf_array(spec, arr) if sign < 0 else _survival_array(spec, arr)
-    lhs = float(h[2] * h[3])
-    rhs = float(h[0] * h[1])
+    swapped = (0,) if d.is_pure else d.neg_idx
+    lo = tuple(up[i] if i in swapped else u[i] for i in range(d.dim))
+    hi = tuple(u[i] if i in swapped else up[i] for i in range(d.dim))
+    corners = [u, up, lo, hi]
+    if d.is_pure:
+        h = (cdf if d.signs[0] < 0 else survival_cdf)(spec, corners)
+    else:
+        h = orthant_prob(spec, d, corners)
+    plain, crossed = float(h[0] * h[1]), float(h[2] * h[3])
+    lhs, rhs = (crossed, plain) if d.is_pure else (plain, crossed)
     if notion is Notion.DECREASING:
         lhs, rhs = rhs, lhs
     violation = lhs - rhs
@@ -515,11 +490,7 @@ def recheck_counterexample(
     """
     d = cex.direction
     if cex.kind == "pair":
-        if d.is_pure:
-            again = check_pair_pure(spec, d.signs[0], cex.u_low, cex.u_high, tol, notion)
-        else:
-            again = check_pair_mixed(spec, d, cex.u_low, cex.u_high, tol, notion)
-        return again is not None and again.violation > tol
+        return check_pair(spec, d, cex.u_low, cex.u_high, tol, notion) is not None
     if cex.kind == "step":
         assert cex.target is not None and cex.axis is not None
         step_up = cex.axis in d.pos_idx

@@ -6,9 +6,10 @@ write the report in the requested format.
 
 Exit codes: 0 every requested direction passed at the grid resolution,
 1 some direction was refuted (or could not be fully checked), 2 usage or
-configuration error, 3 the two check methods disagreed somewhere or a
-reported counterexample did not re-verify (an internal defect worth
-reporting, not a property of the copula).
+configuration error, or a scan that ran out of memory, 3 the two check
+methods disagreed somewhere or a reported counterexample did not
+re-verify (an internal defect worth reporting, not a property of the
+copula).
 """
 
 from __future__ import annotations
@@ -265,6 +266,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run(config)
     except (ParameterError, DimensionError, DirectionError, ValueError) as exc:
         print(f"dirmono: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        n, g = config.spec.dim, config.grid
+        print(
+            f"dirmono: error: not enough memory to scan the lattice of grid {g} "
+            f"in dim {n} ({g}^{n} points); try a smaller --grid",
+            file=sys.stderr,
+        )
         return 2
 
 

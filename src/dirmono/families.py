@@ -39,16 +39,6 @@ AMH = "amh"
 CONVEX_PI_M = "convexpim"
 SURVIVAL = "survival"
 
-KNOWN_FAMILIES = (
-    PRODUCT,
-    UPPER_FRECHET,
-    LOWER_FRECHET,
-    FGM,
-    AMH,
-    CONVEX_PI_M,
-    SURVIVAL,
-)
-
 # family tag -> (required parameter names, (low, high) per parameter)
 _PARAM_RANGES: dict[str, dict[str, tuple[float, float]]] = {
     PRODUCT: {},
@@ -95,7 +85,7 @@ class CopulaSpec:
 
 def validate(spec: CopulaSpec) -> None:
     """Raise ParameterError / DimensionError unless ``spec`` is well formed."""
-    if spec.family not in KNOWN_FAMILIES:
+    if spec.family not in _PARAM_RANGES:
         raise ParameterError(f"unknown copula family {spec.family!r}")
     if not isinstance(spec.dim, int) or spec.dim < 2:
         raise DimensionError(f"copula dimension must be an integer >= 2, got {spec.dim!r}")
@@ -139,16 +129,23 @@ def cdf(spec: CopulaSpec, u) -> float | np.ndarray:
     Only the dimension of ``u`` is checked here; callers are expected to
     supply coordinates in [0, 1].
     """
+    return _value(_cdf_array(spec, _points(spec, u)))
+
+
+def _points(spec: CopulaSpec, u) -> np.ndarray:
+    """``u`` as a float array whose last axis holds ``spec.dim`` coordinates."""
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != spec.dim:
         raise DimensionError(
             f"point with {arr.shape[-1] if arr.ndim else 0} coordinates "
             f"does not match copula of dim {spec.dim}"
         )
-    out = _cdf_array(spec, arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return arr
+
+
+def _value(out: np.ndarray) -> float | np.ndarray:
+    """A float for a single point, the array otherwise."""
+    return float(out) if out.ndim == 0 else out
 
 
 def _cdf_array(spec: CopulaSpec, arr: np.ndarray) -> np.ndarray:
@@ -184,16 +181,7 @@ def survival_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
     S-marginal of the copula evaluated at 1-u on S (everything else
     integrated out); for n=2 this reduces to u + v - 1 + C(1-u, 1-v).
     """
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != spec.dim:
-        raise DimensionError(
-            f"point with {arr.shape[-1] if arr.ndim else 0} coordinates "
-            f"does not match copula of dim {spec.dim}"
-        )
-    out = _survival_array(spec, arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _value(_survival_array(spec, _points(spec, u)))
 
 
 def _survival_array(spec: CopulaSpec, arr: np.ndarray) -> np.ndarray:

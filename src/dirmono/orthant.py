@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import DimensionError, Direction, join_direction
-from .families import CopulaSpec, _pinned_cdf, _signed_sum
+from .families import CopulaSpec, _pinned_cdf, _points, _signed_sum, _value
 
 DEFAULT_EPS_DEN = 1e-12
 
@@ -37,16 +37,7 @@ def marginal_cdf(spec: CopulaSpec, indices: Iterable[int], u) -> float | np.ndar
     for i in idx:
         if not 0 <= i < spec.dim:
             raise IndexError(f"marginal index {i} out of range for dim {spec.dim}")
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != spec.dim:
-        raise DimensionError(
-            f"point with {arr.shape[-1] if arr.ndim else 0} coordinates "
-            f"does not match copula of dim {spec.dim}"
-        )
-    out = _pinned_cdf(spec, idx, arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _value(_pinned_cdf(spec, idx, _points(spec, u)))
 
 
 def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
@@ -57,18 +48,9 @@ def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
     The raw signed sum is returned unclamped; it lies within
     [-1e-12, 1 + 1e-12] of [0, 1] in floating point.
     """
-    arr = np.asarray(v, dtype=float)
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
-    if arr.ndim == 0 or arr.shape[-1] != spec.dim:
-        raise DimensionError(
-            f"point with {arr.shape[-1] if arr.ndim else 0} coordinates "
-            f"does not match copula of dim {spec.dim}"
-        )
-    out = _orthant_array(spec, d, arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _value(_orthant_array(spec, d, _points(spec, v)))
 
 
 def _orthant_array(spec: CopulaSpec, d: Direction, arr: np.ndarray) -> np.ndarray:

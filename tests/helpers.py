@@ -5,10 +5,14 @@ loops, no numpy, no reuse of the package's signed-sum code) so that
 agreement with the package is meaningful.
 """
 
+from dataclasses import dataclass
 from itertools import product
 from math import prod
+from typing import Callable, Sequence
 
-from dirmono import CopulaSpec, cdf
+from dirmono import CopulaSpec, DimensionError, cdf
+
+Point = tuple[float, ...]
 
 
 def bf_orthant(point_fn, signs, v):
@@ -111,3 +115,64 @@ def bivariate_zoo():
 
 def all_sign_vectors(n):
     return list(product((1, -1), repeat=n))
+
+
+def as_point(coords: Sequence[float], dim: int | None = None) -> Point:
+    """Validate coordinates as a point of the closed unit hypercube."""
+    pt = tuple(float(c) for c in coords)
+    if len(pt) < 2:
+        raise DimensionError(f"need at least 2 coordinates, got {len(pt)}")
+    if dim is not None and len(pt) != dim:
+        raise DimensionError(f"expected {dim} coordinates, got {len(pt)}")
+    for c in pt:
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"coordinate {c!r} outside [0, 1]")
+    return pt
+
+
+@dataclass(frozen=True)
+class Box:
+    """An axis-aligned box inside the unit hypercube."""
+
+    lower: Point
+    upper: Point
+
+    def __post_init__(self) -> None:
+        lo = as_point(self.lower)
+        hi = as_point(self.upper)
+        if len(lo) != len(hi):
+            raise DimensionError("box corners have different dimensions")
+        if any(a > b for a, b in zip(lo, hi)):
+            raise ValueError("box lower corner exceeds upper corner")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+
+    @property
+    def dim(self) -> int:
+        return len(self.lower)
+
+
+def box_volume(fn: Callable[[Point], float], box: Box) -> float:
+    """Alternating-sign sum of ``fn`` over the 2^n vertices of ``box``.
+
+    Sign of a vertex is (-1)**(number of lower coordinates chosen), so
+    for a distribution function this is the mass assigned to the box.
+    """
+    total = 0.0
+    for choice in product((0, 1), repeat=box.dim):
+        vertex = tuple(
+            box.lower[i] if c == 0 else box.upper[i] for i, c in enumerate(choice)
+        )
+        sign = -1.0 if sum(1 for c in choice if c == 0) % 2 else 1.0
+        total += sign * fn(vertex)
+    return total
+
+
+def frechet_lower(u: Sequence[float]) -> float:
+    """Pointwise lower bound max(0, sum(u) - n + 1) for any copula value."""
+    return max(0.0, sum(u) - len(tuple(u)) + 1.0)
+
+
+def frechet_upper(u: Sequence[float]) -> float:
+    """Pointwise upper bound min(u) for any copula value."""
+    return min(u)

@@ -15,25 +15,25 @@ import numpy as np
 import pytest
 
 from dirmono import (
-    Box,
     CopulaSpec,
     GridSpec,
     PASS_AT_RESOLUTION,
     REFUTED,
-    box_volume,
     cdf,
-    frechet_lower,
-    frechet_upper,
     make_direction,
     orthant_prob,
     scan_all_directions,
     survival_cdf,
 )
 from helpers import (
+    Box,
     all_sign_vectors,
     bf_orthant,
     bivariate_zoo,
+    box_volume,
     family_zoo,
+    frechet_lower,
+    frechet_upper,
     point_fn,
     survival2_closed_form,
 )

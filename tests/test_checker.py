@@ -6,6 +6,7 @@ import pytest
 
 from dirmono import (
     CopulaSpec,
+    DimensionError,
     GridSpec,
     METHOD_BOTH,
     METHOD_INEQUALITY,
@@ -19,8 +20,7 @@ from dirmono import (
     cdf,
     check_direction_inequality,
     check_direction_oracle,
-    check_pair_mixed,
-    check_pair_pure,
+    check_pair,
     conditional_prob,
     make_direction,
     orthant_prob,
@@ -66,39 +66,35 @@ class TestPairChecks:
     def test_product_mixed_pair_is_exact_equality(self):
         spec = CopulaSpec("product", 3)
         d = make_direction([1, 1, -1])
-        cex = check_pair_mixed(spec, d, (0.2, 0.3, 0.4), (0.5, 0.6, 0.9))
+        cex = check_pair(spec, d, (0.2, 0.3, 0.4), (0.5, 0.6, 0.9))
         assert cex is None
 
     def test_fgm_negative_mixed_pair_passes(self):
         spec = CopulaSpec("fgm", 2, {"lambda": -0.5})
         d = make_direction([1, -1])
-        assert check_pair_mixed(spec, d, (0.25, 0.25), (0.75, 0.75)) is None
+        assert check_pair(spec, d, (0.25, 0.25), (0.75, 0.75)) is None
 
     def test_fgm_positive_mixed_pair_fails_somewhere(self):
         spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
         d = make_direction([1, -1])
-        cex = check_pair_mixed(spec, d, (0.25, 0.25), (0.75, 0.75))
+        cex = check_pair(spec, d, (0.25, 0.25), (0.75, 0.75))
         assert cex is not None
         assert cex.violation > 1e-9
         assert cex.lhs > cex.rhs
 
-    def test_mixed_check_rejects_pure_direction(self):
-        spec = CopulaSpec("product", 2)
-        with pytest.raises(UnsupportedDirectionError):
-            check_pair_mixed(spec, make_direction([1, 1]), (0.2, 0.2), (0.4, 0.4))
-
     def test_mixed_check_rejects_unordered_pair(self):
         spec = CopulaSpec("product", 2)
         with pytest.raises(ValueError):
-            check_pair_mixed(spec, make_direction([1, -1]), (0.5, 0.2), (0.4, 0.4))
+            check_pair(spec, make_direction([1, -1]), (0.5, 0.2), (0.4, 0.4))
 
     def test_min_copula_pure_pair(self):
         spec = CopulaSpec("m", 2)
-        assert check_pair_pure(spec, -1, (0.3, 0.4), (0.6, 0.8)) is None
+        assert check_pair(spec, make_direction([-1, -1]), (0.3, 0.4), (0.6, 0.8)) is None
 
     def test_product_pure_pair_equality(self):
         spec = CopulaSpec("product", 3)
-        assert check_pair_pure(spec, 1, (0.2, 0.3, 0.4), (0.5, 0.6, 0.9)) is None
+        d = make_direction([1, 1, 1])
+        assert check_pair(spec, d, (0.2, 0.3, 0.4), (0.5, 0.6, 0.9)) is None
 
     def test_fgm3_all_negative_pair_sign_regions(self):
         # lambda in [0, 1] satisfies the all-negative product inequality,
@@ -112,10 +108,17 @@ class TestPairChecks:
         assert verdict.outcome == REFUTED
         assert verdict.counterexample is not None
 
+    def test_pair_rejects_direction_or_points_of_other_dim(self):
+        spec = CopulaSpec("product", 3)
+        with pytest.raises(DimensionError):
+            check_pair(spec, make_direction([1, -1]), (0.2, 0.2, 0.2), (0.4, 0.4, 0.4))
+        with pytest.raises(DimensionError):
+            check_pair(spec, make_direction([1, -1, 1]), (0.2, 0.2, 0.2), (0.4, 0.4))
+
     def test_pure_pair_unsupported_beyond_three(self):
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
         with pytest.raises(UnsupportedDirectionError):
-            check_pair_pure(spec, 1, (0.2,) * 4, (0.4,) * 4)
+            check_pair(spec, make_direction([1] * 4), (0.2,) * 4, (0.4,) * 4)
 
 
 class TestDirectionInequality:
@@ -372,12 +375,8 @@ class TestGatheredMatchesScalar:
     )
     def test_every_direction_pair_by_pair(self, spec):
         for d in all_directions(spec.dim):
-            if d.is_pure:
-                def pair_check(u, up, sign=d.signs[0]):
-                    return check_pair_pure(spec, sign, u, up, tol=-np.inf)
-            else:
-                def pair_check(u, up, d=d):
-                    return check_pair_mixed(spec, d, u, up, tol=-np.inf)
+            def pair_check(u, up, d=d):
+                return check_pair(spec, d, u, up, tol=-np.inf)
             gathered = check_direction_inequality(spec, d, GridSpec(3))
             assert _summary(gathered) == _scalar_pair_scan(spec, d, 3, pair_check), d.pretty()
 

@@ -15,9 +15,9 @@ from dirmono import (
     report_from_json,
     report_to_json,
 )
-from dirmono import checker
+from dirmono import checker, cli
 from dirmono.checker import DirectionVerdict, PASS_AT_RESOLUTION, REFUTED, UNSUPPORTED
-from dirmono.cli import UsageError, parse_config, run
+from dirmono.cli import UsageError, main, parse_config, run
 from dirmono.core import make_direction
 
 REPO = Path(__file__).resolve().parent.parent
@@ -214,6 +214,19 @@ class TestExitCodes:
         cfg = parse_config(["check", "--config", str(FIXTURES / "fgm2_mixed_refuted.json")])
         assert run(cfg) == 3
         capsys.readouterr()
+
+    def test_out_of_memory_exits_two(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(cli, "scan_all_directions", exhausted)
+        argv = ["check", "--family", "product", "--dim", "2", "--grid", "100000",
+                "--method", "inequality", "--direction=+,-"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dirmono: error:")
+        assert "grid 100000" in err and "dim 2" in err
+        assert "Traceback" not in err
 
     @pytest.mark.xfail(
         reason="under D the oracle's conditional rises to 1 once the condition "

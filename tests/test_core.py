@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 
 from dirmono import (
-    Box,
     CopulaSpec,
     DimensionError,
     DirectionError,
-    box_volume,
     cdf,
     direction_from_token,
-    frechet_lower,
-    frechet_upper,
     join_direction,
     make_direction,
 )
+from helpers import Box, box_volume, frechet_lower, frechet_upper
 
 
 class TestMakeDirection:

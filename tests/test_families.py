@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from dirmono import (
-    Box,
     CopulaSpec,
     DimensionError,
     ParameterError,
-    box_volume,
     cdf,
-    frechet_lower,
-    frechet_upper,
     survival_cdf,
     validate,
 )
-from helpers import bf_survival, bivariate_zoo, family_zoo, point_fn, survival2_closed_form
+from helpers import (
+    Box,
+    bf_survival,
+    bivariate_zoo,
+    box_volume,
+    family_zoo,
+    frechet_lower,
+    frechet_upper,
+    point_fn,
+    survival2_closed_form,
+)
 
 
 class TestValidate:
