@@ -19,10 +19,12 @@ and become index arithmetic on it through one helper, ``_flat``, that
 maps per-axis lattice indices to flat table indices for every
 combination of them.  The inequality route gathers each side of every
 ordered pair from the per-axis pairs lo <= hi, so it holds a few numbers
-per pair and no per-pair index vectors.  The oracle gathers its
-conditionals one block of target rows at a time, shaped (rows, g, ...,
-g), and compares the :-1 and 1: slices of each axis in the order d gives
-it, so its memory is O(block + g^n), never g^n x g^n.  The scalar
+per pair and no per-pair index vectors.  The oracle takes the same
+per-axis pairs as a condition w and its join z with the target, in the
+order d gives them: a comparison depends on the target only through z,
+so each distinct (w, z, axis) is evaluated once and weighted by the
+number of targets that join w to z.  It works in blocks of (w, z)
+pairs, so its memory is O(block + g^n), never g^n x g^n.  The scalar
 functions ``check_pair`` (one pair, either direction kind) and
 ``conditional_prob`` are the independent recheck path: every
 counterexample a scan reports is recomputed through them, and one that
@@ -46,6 +48,8 @@ parallel execution strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -76,9 +80,9 @@ METHOD_BOTH = "both"
 
 _DEFAULT_RESOLUTIONS = {2: 21, 3: 9, 4: 6, 5: 4}
 
-# entries of the oracle's per-block conditional matrix (target rows x g^n
-# conditions); larger blocks gain little speed and raise peak memory
-_BLOCK = 1 << 16
+# (condition, join) pairs in one block of the oracle's conditionals;
+# larger blocks gain no speed and raise peak memory
+_BLOCK = 1 << 14
 
 
 class UnsupportedDirectionError(ValueError):
@@ -200,13 +204,12 @@ def check_pair(
 
 def _flat(parts: Sequence[np.ndarray], g: int) -> np.ndarray:
     """Flat (row-major) indices into the (g,)*n lattice of every combination
-    of per-axis lattice indices: ``parts[k]`` has shape (rows, m_k), and the
-    result has shape (rows, m_0, ..., m_{n-1})."""
+    of per-axis lattice indices: ``parts[k]`` has shape (m_k,), and the
+    result has shape (m_0, ..., m_{n-1})."""
     n = len(parts)
     flat = 0
     for k, part in enumerate(parts):
-        rows, m = part.shape
-        flat = flat * g + part.reshape((rows,) + (1,) * k + (m,) + (1,) * (n - 1 - k))
+        flat = flat * g + part.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
     return flat
 
 
@@ -230,7 +233,7 @@ def _pairwise_verdict(
         table = _orthant_array(spec, d, lattice)
     table = table.ravel()
     # per axis, every ordered pair lo <= hi of lattice indices
-    lo, hi = (a[None] for a in np.triu_indices(g))
+    lo, hi = np.triu_indices(g)
 
     def corners(swapped: Sequence[int]) -> np.ndarray:
         # F at the pair's two corners, with lo and hi traded on ``swapped``
@@ -297,15 +300,19 @@ def check_direction_oracle(
 ) -> DirectionVerdict:
     """Check conditional orthant probabilities straight off the definition.
 
-    For every grid target v and grid condition v', the conditional at v'
-    is compared against the conditional at the neighbor of v' one grid
+    For every grid target v and grid condition w, the conditional at w
+    is compared against the conditional at the neighbor of w one grid
     step further along each axis (a step toward larger coordinates on
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
     skipped; a direction left with no comparison is unsupported.
 
-    Conditionals are gathered from the direction's lattice table one
-    block of target rows at a time, so memory stays O(_BLOCK + g^n).  The
+    The conditional at w is F_d(z) / F_d(w), where z is the join of v and
+    w in d's order.  The step leaves z as it is, or steps it with w where
+    the two share the stepped coordinate, so a comparison depends on v
+    only through z.  Each distinct (w, z, axis) is evaluated once, in
+    blocks of at most _BLOCK (w, z) pairs so that memory stays
+    O(_BLOCK + g^n), and counts once per target that joins w to z.  The
     reported violation is the one with the smallest key
     (p * g^n + q) * n + k, for flat target index p, flat index q of the
     earlier condition and axis k.
@@ -313,57 +320,95 @@ def check_direction_oracle(
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
     g, n = grid.resolution, spec.dim
-    shape = (g,) * n
-    lattice = grid.points()[np.stack(np.indices(shape), axis=-1)]
-    table = _orthant_array(spec, d, lattice)
+    lattice = grid.points()[np.stack(np.indices((g,) * n), axis=-1)]
+    table = _orthant_array(spec, d, lattice).ravel()
     den = np.where(table >= eps_den, table, np.nan)
     total = table.size
-    # per axis, the lattice index of join(target, condition) as a g x g table
-    span = np.arange(g)
-    joins = [(np.maximum if k in d.pos_idx else np.minimum).outer(span, span) for k in range(n)]
+    # per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a],
+    # counted in d's order; the last pair, (g-1, g-1), has no step
+    lo, hi = np.triu_indices(g)
+    pairs = lo.size
+    pair = np.zeros((g, g), dtype=lo.dtype)
+    pair[lo, hi] = np.arange(pairs)
+    # the pair one step further: the condition steps, and the join with it
+    # when the two are equal
+    nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
+    # the targets joining the condition to the join: the join itself, or
+    # any of the lo + 1 indices up to the condition when the two are equal
+    targets = np.where(lo == hi, lo + 1, 1)
+    cond_idx, join_idx, keys = [], [], []
+    for s in d.signs:
+        w, z = (lo, hi) if s > 0 else (g - 1 - lo, g - 1 - hi)
+        # lattice index of the smallest such target; _flat of the key
+        # parts gives p * g^n + q
+        smallest = np.where(lo == hi, 0 if s > 0 else w, z)
+        cond_idx.append(w)
+        join_idx.append(z)
+        keys.append(smallest * total + w)
 
-    def step(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        # (earlier, later) views of arr's trailing lattice axes for one
-        # step along d on axis k
-        head = (Ellipsis, slice(None, -1)) + (slice(None),) * (n - 1 - k)
-        tail = (Ellipsis, slice(1, None)) + (slice(None),) * (n - 1 - k)
-        return (arr[head], arr[tail]) if k in d.pos_idx else (arr[tail], arr[head])
+    def quotient(parts: list[np.ndarray]) -> np.ndarray:
+        # conditionals of every combination of per-axis pairs
+        z = _flat([join_idx[j][a] for j, a in enumerate(parts)], g)
+        return table[z] / den[_flat([cond_idx[j][a] for j, a in enumerate(parts)], g)]
 
     comparisons = 0
     max_slack: float | None = None
-    first: tuple[int, int, float, float] | None = None
-    targets = np.indices(shape).reshape(n, total)
-    rows = max(1, _BLOCK // total)
-    for p0 in range(0, total, rows):
-        block = targets[:, p0 : p0 + rows]
-        cond = table.ravel()[_flat([joins[k][block[k]] for k in range(n)], g)] / den
-        for k in range(n):
-            lhs, rhs = step(cond, k)
-            if notion is Notion.DECREASING:
-                lhs, rhs = rhs, lhs
-            slack = lhs - rhs
-            ok = np.isfinite(slack)
-            count = int(ok.sum())
-            if not count:
-                continue
-            comparisons += count
-            local_max = float(slack[ok].max())
-            max_slack = local_max if max_slack is None else max(max_slack, local_max)
-            violating = ok & (slack > tol)
-            if violating.any():
-                earlier, later = step(np.arange(total).reshape(shape), k)
-                r, c = divmod(int(np.argmax(violating)), earlier.size)
-                key = ((p0 + r) * total + int(earlier.flat[c])) * n + k
-                if first is None or key < first[0]:
-                    first = (key, int(later.flat[c]), float(lhs[r].flat[c]), float(rhs[r].flat[c]))
+    first: tuple[int, float, float] | None = None
+    # blocks: a run of pairs on axis `lead`, every pair on the axes after
+    # it and one pair on each axis before it
+    lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= _BLOCK)
+    run = _BLOCK // pairs ** (n - 1 - lead)
+    every = np.arange(pairs)
+    for head in np.ndindex((pairs,) * lead):
+        for a0 in range(0, pairs, run):
+            parts = [np.array([a]) for a in head] + [every[a0 : a0 + run]]
+            parts += [every] * (n - 1 - lead)
+            cond = quotient(parts)
+            for k in range(n):
+                # pairs with a step on axis k: all but the last, (g-1, g-1)
+                steps = parts[k][parts[k] < len(nxt)]
+                if not steps.size:
+                    continue
+                stepped = parts[:k] + [steps] + parts[k + 1 :]
+                lhs = cond[(slice(None),) * k + (slice(steps.size),)]
+                if parts[k].size == pairs:
+                    rhs = cond.take(nxt, axis=k)
+                else:
+                    # the neighbour lies in another block
+                    rhs = quotient(parts[:k] + [nxt[steps]] + parts[k + 1 :])
+                if notion is Notion.DECREASING:
+                    lhs, rhs = rhs, lhs
+                slack = lhs - rhs
+                ok = np.isfinite(slack)
+                weights = [targets[a] for a in stepped]
+                if ok.all():
+                    count = prod(int(w.sum()) for w in weights)
+                else:
+                    count = int(reduce(np.multiply, np.ix_(*weights)).sum(where=ok))
+                    # an undefined comparison is neither a maximum nor a violation
+                    slack = np.where(ok, slack, -np.inf)
+                if not count:
+                    continue
+                comparisons += count
+                local_max = float(slack.max())
+                max_slack = local_max if max_slack is None else max(max_slack, local_max)
+                violating = slack > tol
+                if violating.any():
+                    key = _flat([keys[j][a] for j, a in enumerate(stepped)], g)
+                    key[~violating] = np.iinfo(key.dtype).max
+                    i = int(key.argmin())
+                    key_k = int(key.flat[i]) * n + k
+                    if first is None or key_k < first[0]:
+                        first = (key_k, float(lhs.flat[i]), float(rhs.flat[i]))
 
     if first is None:
         # no defined comparison at all would make a pass vacuous
         outcome = PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
         return DirectionVerdict(d, METHOD_ORACLE, outcome, comparisons, max_slack, None)
-    key, q_later, lhs_val, rhs_val = first
+    key, lhs_val, rhs_val = first
     p, rest = divmod(key, total * n)
     q, k = divmod(rest, n)
+    q_later = q + g ** (n - 1 - k) * d.signs[k]
     points = lattice.reshape(-1, n)
     earlier_pt, later_pt = tuple(points[q]), tuple(points[q_later])
     low_pt, high_pt = (earlier_pt, later_pt) if k in d.pos_idx else (later_pt, earlier_pt)

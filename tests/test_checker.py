@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirmono import (
     CopulaSpec,
@@ -31,6 +32,7 @@ from dirmono import (
 )
 from dirmono import checker
 from dirmono.checker import DEFAULT_TOL, Counterexample, _pairwise_verdict
+from dirmono.orthant import DEFAULT_EPS_DEN
 from helpers import family_zoo
 
 
@@ -431,7 +433,7 @@ class TestScanRechecks:
         assert scan_direction(spec, passing, GridSpec(9)).methods_agree is True
 
 
-def _scalar_oracle_scan(spec, d, g):
+def _scalar_oracle_scan(spec, d, g, eps_den=DEFAULT_EPS_DEN, tol=DEFAULT_TOL):
     """Plain loop over (target, condition, axis) in lexicographic order.
 
     Every conditional goes through ``conditional_prob`` once and is reused
@@ -441,7 +443,7 @@ def _scalar_oracle_scan(spec, d, g):
     pts = GridSpec(g).points()
     lattice = list(product(range(g), repeat=spec.dim))
     conds = {
-        (t, q): conditional_prob(spec, d, pts[list(t)], pts[list(q)])
+        (t, q): conditional_prob(spec, d, pts[list(t)], pts[list(q)], eps_den)
         for t in lattice
         for q in lattice
     }
@@ -458,7 +460,7 @@ def _scalar_oracle_scan(spec, d, g):
                     lhs, rhs = rhs, lhs
                 comparisons += 1
                 max_slack = lhs - rhs if max_slack is None else max(max_slack, lhs - rhs)
-                if first is None and lhs - rhs > DEFAULT_TOL:
+                if first is None and lhs - rhs > tol:
                     low, high = (q, nb) if sign > 0 else (nb, q)
                     first = Counterexample(
                         d, tuple(pts[list(low)]), tuple(pts[list(high)]), lhs, rhs,
@@ -484,10 +486,16 @@ class TestOracleMatchesScalar:
                 gathered = check_direction_oracle(spec, d, GridSpec(g), notion=notion)
                 assert _summary(gathered) == scalar, (d.pretty(), notion)
 
-    @pytest.mark.parametrize("block", [1, 75], ids=["one-row", "uneven"])
+    @pytest.mark.parametrize(
+        "block", [1, 7, 25, 150], ids=["one-row", "inside-last-axis", "inside-axis-1", "uneven"]
+    )
     def test_block_size_does_not_change_verdicts(self, monkeypatch, block):
-        # 75 entries make blocks of 3 targets at g^n = 25 and of 2 at g^n = 27,
-        # so the last block is short
+        # there are 15 (condition, join) pairs per axis at g = 5 and 6 at
+        # g = 3.  1 makes every block a single pair; 7 splits the last axis
+        # at n = 2 (runs of 7, 7, 1); 25 is below 6^2, so at n = 3 it takes
+        # one pair on axis 0 and runs of 4 and 2 on axis 1; 150 takes runs of
+        # 10 and 5 on axis 0 at n = 2 and of 4 and 2 at n = 3, so the last
+        # block is short
         cases = [
             (CopulaSpec("fgm", 2, {"lambda": 0.5}), GridSpec(5)),
             (CopulaSpec("w", 2), GridSpec(5)),
@@ -505,6 +513,23 @@ class TestOracleMatchesScalar:
         assert blocked == default
         assert any(v.outcome == REFUTED for v in default)
 
+    @pytest.mark.parametrize(
+        "spec, g",
+        [(CopulaSpec("fgm", 2, {"lambda": 0.5}), 5), (CopulaSpec("fgm", 3, {"lambda": -0.5}), 2)],
+        ids=["fgm2", "fgm3"],
+    )
+    def test_first_violation_above_half_the_max_slack(self, spec, g):
+        # a larger tol can move the first violation to a later condition,
+        # where a join equal to the condition stands for several targets
+        # and the key must take the smallest of them
+        for d in all_directions(spec.dim):
+            for notion in Notion:
+                slack = check_direction_oracle(spec, d, GridSpec(g), notion=notion).max_slack
+                tol = slack / 2 if slack > 0 else DEFAULT_TOL
+                scalar = _scalar_oracle_scan(spec, d, g, tol=tol)[notion]
+                gathered = check_direction_oracle(spec, d, GridSpec(g), tol=tol, notion=notion)
+                assert _summary(gathered) == scalar, (d.pretty(), notion)
+
     def test_memory_stays_within_blocks(self):
         # the dense g^n x g^n matrices of a direct evaluation would take
         # over 40 MiB here (g^n = 1600)
@@ -516,6 +541,35 @@ class TestOracleMatchesScalar:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_memory_stays_within_blocks_in_five_dims(self):
+        # fgm (5,6) has 21^5 ~ 4.1M (condition, join) pairs; blocks of one
+        # pair on axis 0 and all the rest would hold 21^4 per array
+        spec = CopulaSpec("fgm", 5, {"lambda": 0.5})
+        tracemalloc.start()
+        try:
+            check_direction_oracle(spec, make_direction([1] * 5), GridSpec(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        spec=st.sampled_from([s for s in family_zoo() if s.dim <= 3]),
+        g=st.sampled_from([2, 3]),
+        data=st.data(),
+        notion=st.sampled_from(list(Notion)),
+        eps_den=st.sampled_from([1e-12, 0.05, 0.3]),
+        block=st.sampled_from([1, 7, checker._BLOCK]),
+    )
+    def test_matches_scalar_for_drawn_settings(self, spec, g, data, notion, eps_den, block):
+        d = data.draw(st.sampled_from(all_directions(spec.dim)), label="direction")
+        scalar = _scalar_oracle_scan(spec, d, g, eps_den)[notion]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checker, "_BLOCK", block)
+            gathered = check_direction_oracle(spec, d, GridSpec(g), eps_den=eps_den, notion=notion)
+        assert _summary(gathered) == scalar
 
 
 class TestInequalityMemory:
