@@ -1,8 +1,11 @@
 """Command-line front end.
 
 One subcommand, ``check``: build a run configuration from flags and an
-optional json config file (flags win on conflict), execute the scan,
-write the report in the requested format.
+optional json config file, execute the scan, write the report in the
+requested format. The ``check`` parser is the one definition of each
+setting. A config file sets the same settings under the flags' dest
+names, checked against the flag: json type, choices, then its ``type``.
+Flags win; a direction flag replaces the config's directions as a whole.
 
 Exit codes: 0 every requested direction passed at the grid resolution,
 1 some direction was refuted (or could not be fully checked), 2 usage or
@@ -25,66 +28,107 @@ from .checker import GridSpec, scan_all_directions
 from .core import DimensionError, DirectionError, Notion, direction_from_token
 from .families import CopulaSpec, ParameterError, validate
 from .orthant import DEFAULT_EPS_DEN
-from .report import (
-    RunConfig,
-    ScanReport,
-    exit_code,
-    format_report,
-)
+from .report import RunConfig, ScanReport, exit_code, format_report
 
-_FAMILY_HELP = "product|m|w|fgm|amh|convexpim|survival-of:<family>"
+_DEFAULTS = {"all_directions": False, "method": "both", "notion": "I", "tol": 1e-9,
+             "eps_den": DEFAULT_EPS_DEN, "format": "text", "allow_conjectural_pure": False}
+
+# the json types a config value may have, by the name of its flag's type;
+# a flag without a type takes a string
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number")}
 
 
 class UsageError(Exception):
     """Bad flags or config file content; maps to exit code 2."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dirmono",
-        description="Classify directional monotonicity of a copula on a grid.",
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit."""
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _bounded(kind, holds, what: str):
+    """A ``type=`` callable: ``kind(value)``, rejected unless ``holds`` is true of it."""
+    def convert(value):
+        x = kind(value)
+        if not holds(x):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {x}")
+        return x
+    convert.__name__ = kind.__name__  # argparse names the type in its messages
+    return convert
+
+
+_RESOLUTION = _bounded(int, lambda g: g >= 2, ">= 2")
+_POSITIVE = _bounded(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The parser, and the ``check`` actions that a config file may set, by dest."""
+    parser = _Parser(
+        prog="dirmono", description="Classify directional monotonicity of a copula on a grid."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser("check", help="scan directions for one copula")
-    check.add_argument("--family", help=_FAMILY_HELP)
-    check.add_argument("--dim", type=int, help="copula dimension n >= 2")
-    check.add_argument("--lambda", dest="lam", type=float, help="fgm parameter in [-1,1]")
-    check.add_argument("--delta", type=float, help="amh parameter in [-1,1]")
-    check.add_argument("--theta", type=float, help="convexpim parameter in [0,1]")
+    # an unset flag stays out of the namespace, so it cannot hide a config value
+    check = sub.add_parser(
+        "check", help="scan directions for one copula", argument_default=argparse.SUPPRESS
+    )
     group = check.add_mutually_exclusive_group()
-    group.add_argument(
-        "--direction",
-        action="append",
-        metavar="s1,s2,...",
-        help="sign token like '+,-' (repeatable)",
-    )
-    group.add_argument(
-        "--all-directions", action="store_true", help="scan all 2^n directions (default)"
-    )
-    check.add_argument("--grid", type=int, help="lattice resolution g >= 2")
-    check.add_argument("--method", choices=["inequality", "oracle", "both"])
-    check.add_argument("--notion", choices=["I", "D"])
-    check.add_argument("--tol", type=float, help="inequality tolerance (default 1e-9)")
-    check.add_argument("--eps-den", type=float, help="conditioning-mass guard (default 1e-12)")
-    check.add_argument("--format", dest="fmt", choices=["text", "json", "csv"])
-    check.add_argument("--out", help="output path (default stdout)")
+    settings = [
+        check.add_argument("--family", help="product|m|w|fgm|amh|convexpim|survival-of:<family>"),
+        check.add_argument("--dim", type=int, help="copula dimension n >= 2"),
+        check.add_argument("--lambda", type=float, help="fgm parameter in [-1,1]"),
+        check.add_argument("--delta", type=float, help="amh parameter in [-1,1]"),
+        check.add_argument("--theta", type=float, help="convexpim parameter in [0,1]"),
+        group.add_argument("--direction", action="append", metavar="s1,s2,...",
+                           help="sign token like '+,-' (repeatable)"),
+        group.add_argument(
+            "--all-directions", action="store_true", help="scan all 2^n directions (default)"
+        ),
+        check.add_argument("--grid", type=_RESOLUTION, help="lattice resolution g >= 2"),
+        check.add_argument("--method", choices=["inequality", "oracle", "both"]),
+        check.add_argument("--notion", choices=["I", "D"]),
+        check.add_argument("--tol", type=_POSITIVE, help="inequality tolerance (default 1e-9)"),
+        check.add_argument(
+            "--eps-den", type=_POSITIVE, help="conditioning-mass guard (default 1e-12)"
+        ),
+        check.add_argument("--format", choices=["text", "json", "csv"]),
+        check.add_argument("--out", help="output path (default stdout)"),
+        check.add_argument(
+            "--allow-conjectural-pure", action="store_true",
+            help="also compute the unproven single-swap inequality for pure directions in dim >= 4",
+        ),
+    ]
     check.add_argument("--config", help="json config file; flags override its values")
-    check.add_argument(
-        "--allow-conjectural-pure",
-        action="store_true",
-        help="also compute the unproven single-swap inequality for pure directions in dim >= 4",
-    )
-    return parser
+    return parser, {action.dest: action for action in settings}
 
 
-_CONFIG_KEYS = {
-    "family", "dim", "lambda", "delta", "theta", "direction", "all_directions",
-    "grid", "method", "notion", "tol", "eps_den", "format", "out",
-    "allow_conjectural_pure",
-}
+def _json_value(action: argparse.Action, value):
+    """A config value, checked and converted as a flag value for ``action`` is."""
+    if action.dest == "direction":  # appends: a token or a non-empty list of them
+        tokens = [value] if isinstance(value, str) else value
+        if isinstance(tokens, list) and tokens and all(isinstance(t, str) for t in tokens):
+            return tokens
+        raise UsageError(
+            f"direction: must be a sign token or a non-empty list of them, got {value!r}"
+        )
+    if action.nargs == 0:
+        kind, what = bool, "true or false"
+    else:
+        kind, what = _JSON_TYPES.get(getattr(action.type, "__name__", None), (str, "a string"))
+    # json true/false arrive as bool, which is a subclass of int
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+        raise UsageError(f"{action.dest}: must be {what}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise UsageError(f"{action.dest}: must be one of {choices}, got {value!r}")
+    try:
+        return action.type(value) if action.type else value
+    except (argparse.ArgumentTypeError, OverflowError) as exc:
+        raise UsageError(f"{action.dest}: {exc}") from exc
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, actions: dict[str, argparse.Action]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -94,129 +138,59 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid json: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a json object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(actions)
     if unknown:
         raise UsageError(f"unknown config key(s) in {path}: {sorted(unknown)}")
-    return data
-
-
-def _pick(flag_value, config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _build_spec(family: str, dim: int, params: dict[str, float]) -> CopulaSpec:
-    if family.startswith("survival-of:"):
-        inner_tag = family[len("survival-of:"):]
-        inner = CopulaSpec(family=inner_tag, dim=dim, params=params)
-        return CopulaSpec(family="survival", dim=dim, inner=inner)
-    return CopulaSpec(family=family, dim=dim, params=params)
-
-
-def _typed(value, key: str, kind, name: str):
-    """``value`` unchanged if it has json type ``kind``, else a UsageError."""
-    # json true/false arrive as bool, which is a subclass of int
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-        raise UsageError(f"{key} must be {name}, got {value!r}")
-    return value
-
-
-def _positive(value, key: str) -> float:
-    x = float(_typed(value, key, (int, float), "a number"))
-    if not (math.isfinite(x) and x > 0):
-        raise UsageError(f"{key} must be finite and positive, got {x}")
-    return x
+    return {key: _json_value(actions[key], value) for key, value in data.items()}
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Turn argv (after the program name) into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    config = _load_config_file(args.config) if args.config else {}
+    parser, actions = _build_parser()
+    flags = vars(parser.parse_args(argv))
+    del flags["command"]
+    path = flags.pop("config", None)
+    config = _load_config_file(path, actions) if path else {}
+    if {"direction", "all_directions"} & flags.keys():
+        config.pop("direction", None)
+        config.pop("all_directions", None)
+    settings = {**_DEFAULTS, **config, **flags}
 
-    family = _pick(args.family, config, "family", None)
-    if not family:
-        raise UsageError("--family is required (flag or config file)")
-    dim = _pick(args.dim, config, "dim", None)
-    if dim is None:
-        raise UsageError("--dim is required (flag or config file)")
-    dim = _typed(dim, "dim", int, "an integer")
-
-    params: dict[str, float] = {}
-    for flag_value, key in ((args.lam, "lambda"), (args.delta, "delta"), (args.theta, "theta")):
-        value = _pick(flag_value, config, key, None)
-        if value is not None:
-            params[key] = float(_typed(value, key, (int, float), "a number"))
-
-    spec = _build_spec(str(family), dim, params)
+    for key in ("family", "dim"):
+        if key not in settings:
+            raise UsageError(f"--{key} is required (flag or config file)")
+    family, dim = settings["family"], settings["dim"]
+    params = {k: settings[k] for k in ("lambda", "delta", "theta") if k in settings}
+    spec = CopulaSpec(family, dim, params)
+    if family.startswith("survival-of:"):
+        inner = CopulaSpec(family.removeprefix("survival-of:"), dim, params)
+        spec = CopulaSpec("survival", dim, inner=inner)
     try:
         validate(spec)
     except (ParameterError, DimensionError) as exc:
         raise UsageError(str(exc)) from exc
 
-    all_dirs = args.all_directions or _typed(
-        config.get("all_directions", False), "all_directions", bool, "true or false"
-    )
-    tokens = args.direction if args.direction else config.get("direction")
     directions = None
-    if tokens is not None and not all_dirs:
-        if isinstance(tokens, str):
-            tokens = [tokens]
-        if not isinstance(tokens, list) or not tokens or not all(
-            isinstance(t, str) for t in tokens
-        ):
-            raise UsageError(
-                f"direction must be a sign token or a non-empty list of them, got {tokens!r}"
-            )
+    if "direction" in settings and not settings["all_directions"]:
         try:
-            parsed = tuple(direction_from_token(t) for t in tokens)
+            directions = tuple(direction_from_token(t) for t in settings["direction"])
         except (DirectionError, DimensionError) as exc:
             raise UsageError(str(exc)) from exc
-        for d in parsed:
+        for d in directions:
             if d.dim != dim:
-                raise UsageError(
-                    f"direction {d.pretty()} has {d.dim} entries, copula dim is {dim}"
-                )
-        directions = parsed
-
-    grid = _pick(args.grid, config, "grid", GridSpec.default_resolution(dim))
-    grid = _typed(grid, "grid", int, "an integer")
-    if grid < 2:
-        raise UsageError(f"grid resolution must be >= 2, got {grid}")
-    method = str(_pick(args.method, config, "method", "both"))
-    if method not in ("inequality", "oracle", "both"):
-        raise UsageError(f"unknown method {method!r}")
-    notion_token = str(_pick(args.notion, config, "notion", "I"))
-    try:
-        notion = Notion(notion_token)
-    except ValueError as exc:
-        raise UsageError(f"unknown notion {notion_token!r}") from exc
-    tol = _positive(_pick(args.tol, config, "tol", 1e-9), "tol")
-    eps_den = _positive(_pick(args.eps_den, config, "eps_den", DEFAULT_EPS_DEN), "eps_den")
-    fmt = str(_pick(args.fmt, config, "format", "text"))
-    if fmt not in ("text", "json", "csv"):
-        raise UsageError(f"unknown format {fmt!r}")
-    out = _pick(args.out, config, "out", None)
-    if out is not None:
-        _typed(out, "out", str, "a path")
-    conjectural = args.allow_conjectural_pure or _typed(
-        config.get("allow_conjectural_pure", False), "allow_conjectural_pure", bool,
-        "true or false",
-    )
+                raise UsageError(f"direction {d.pretty()} has {d.dim} entries, copula dim is {dim}")
 
     return RunConfig(
         spec=spec,
         directions=directions,
-        grid=grid,
-        method=method,
-        notion=notion,
-        tol=tol,
-        eps_den=eps_den,
-        fmt=fmt,
-        out=out,
-        allow_conjectural_pure=conjectural,
+        grid=settings.get("grid", GridSpec.default_resolution(dim)),
+        method=settings["method"],
+        notion=Notion(settings["notion"]),
+        tol=settings["tol"],
+        eps_den=settings["eps_den"],
+        fmt=settings["format"],
+        out=settings.get("out"),
+        allow_conjectural_pure=settings["allow_conjectural_pure"],
     )
 
 
@@ -264,7 +238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return run(config)
-    except (ParameterError, DimensionError, DirectionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"dirmono: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

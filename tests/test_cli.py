@@ -94,6 +94,23 @@ class TestParseConfig:
         result = invoke("check", "--family", "product", "--dim", "2", "--frobnicate")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--family", "product", "--dim", "2", "--method", "fast"],
+            ["check", "--family", "product", "--dim", "2", "--grid", "abc"],
+            ["check", "--family", "product", "--dim", "2", "--tol", "abc"],
+            ["check", "--family", "product", "--dim", "2", "--frobnicate"],
+            [],
+        ],
+        ids=["method-fast", "grid-abc", "tol-abc", "unknown-flag", "no-subcommand"],
+    )
+    def test_flag_errors_print_one_message(self, args):
+        result = invoke(*args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("dirmono: error:")
+        assert "Traceback" not in result.stderr
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(
@@ -125,6 +142,14 @@ class TestParseConfig:
             {"eps_den": 1e999},
             {"all_directions": "no"},
             {"out": 5},
+            {"out": None},
+            {"direction": None},
+            {"notion": None},
+            {"method": "fast"},
+            {"format": 1},
+            {"family": 5},
+            {"grid": 1},
+            pytest.param({"tol": 10**400}, id="{'tol': 10**400}"),
         ],
         ids=str,
     )
@@ -135,6 +160,48 @@ class TestParseConfig:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("dirmono: error:")
+
+    @pytest.mark.parametrize("bad", [{"family": 5}, {"method": 1}], ids=str)
+    def test_wrong_json_type_is_a_type_error(self, tmp_path, bad):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"family": "fgm", "dim": 2, "lambda": 0.5, **bad}))
+        with pytest.raises(UsageError, match="must be a string"):
+            parse_config(["check", "--config", str(cfg_file)])
+
+    @pytest.mark.parametrize(
+        "config, flags, signs",
+        [
+            ({"all_directions": True}, ["--direction=-,+"], [(-1, 1)]),
+            ({"direction": ["+,+", "+,-"]}, ["--direction=-,+"], [(-1, 1)]),
+            ({"direction": "+,-"}, ["--all-directions"], None),
+        ],
+        ids=["all-then-token", "tokens-then-token", "token-then-all"],
+    )
+    def test_direction_flags_replace_config_directions(self, tmp_path, config, flags, signs):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"family": "product", "dim": 2, **config}))
+        cfg = parse_config(["check", "--config", str(cfg_file), *flags])
+        if signs is None:
+            assert cfg.directions is None
+        else:
+            assert [d.signs for d in cfg.directions] == signs
+
+    @pytest.mark.parametrize(
+        "fixture",
+        sorted(p.name for p in FIXTURES.glob("*.json") if p.name != "amh_invalid_dim.json"),
+    )
+    def test_config_and_flags_give_the_same_config(self, fixture):
+        path = FIXTURES / fixture
+        argv = ["check"]
+        for key, value in json.loads(path.read_text()).items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif key == "direction":
+                argv += [f"{flag}={token}" for token in value]
+            else:
+                argv += [flag, str(value)]
+        assert parse_config(["check", "--config", str(path)]) == parse_config(argv)
 
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "typo.json"
@@ -231,7 +298,7 @@ class TestExitCodes:
     @pytest.mark.xfail(
         reason="under D the oracle's conditional rises to 1 once the condition "
         "passes the target, so it refutes directions the inequality passes "
-        "(ROADMAP item 4, open defect (e))"
+        "(ROADMAP item 2)"
     )
     def test_decreasing_notion_routes_agree(self, capsys):
         argv = ["check", "--family", "product", "--dim", "2", "--grid", "5",
