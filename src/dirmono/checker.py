@@ -15,18 +15,23 @@ direction, both restricted to a finite interior lattice:
 Every point either route touches is a lattice point, so both evaluate
 one table per direction on the lattice, as an n-D array of shape (g,)*n
 (F_d, or for the pure single-swap form the copula or survival copula),
-and become index arithmetic on it through one helper, ``_flat``, that
-maps per-axis lattice indices to flat table indices for every
-combination of them.  The inequality route gathers each side of every
-ordered pair from the per-axis pairs lo <= hi, so it holds a few numbers
+and become index arithmetic on it.  In ``both`` mode ``scan_direction``
+evaluates F_d once and hands it to both routes.  The inequality route
+gathers each side of every ordered pair from the per-axis pairs
+lo <= hi through ``_flat``, which maps per-axis lattice indices to flat
+table indices for every combination of them, so it holds a few numbers
 per pair and no per-pair index vectors.  The oracle takes the same
 per-axis pairs as a condition w and its join z with the target, in the
 order d gives them: a comparison depends on the target only through z,
 so each distinct (w, z, axis) is evaluated once and weighted by the
-number of targets that join w to z.  It works in blocks of (w, z)
-pairs, so its memory is O(block + g^n), never g^n x g^n.  The scalar
-functions ``check_pair`` (one pair, either direction kind) and
-``conditional_prob`` are the independent recheck path: every
+number of targets that join w to z.  It reads F_d with the negative
+axes flipped, where a step along d raises every index and the pairs of
+every axis are the plain lo <= hi, so one gather plan per lattice and
+block size serves all 2^n directions.  It works in blocks of (w, z)
+pairs, so its memory is O(block + g^n), never g^n x g^n, and walks its
+lead axis so that a step's neighbour is a slab it has just computed.
+The scalar functions ``check_pair`` (one pair, either direction kind)
+and ``conditional_prob`` are the independent recheck path: every
 counterexample a scan reports is recomputed through them, and one that
 does not re-verify is flagged as a disagreement.
 
@@ -47,10 +52,11 @@ parallel execution strategy.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +64,7 @@ from .core import (
     DimensionError,
     Direction,
     Notion,
-    all_directions,
+    iter_directions,
 )
 from .families import CopulaSpec, _cdf_array, _survival_array, cdf, survival_cdf, validate
 from .orthant import (
@@ -79,6 +85,10 @@ METHOD_ORACLE = "oracle"
 METHOD_BOTH = "both"
 
 _DEFAULT_RESOLUTIONS = {2: 21, 3: 9, 4: 6, 5: 4}
+
+# numpy arrays have at most 64 axes (32 before numpy 2), so a larger dim
+# has no lattice table
+_MAX_DIM = 64
 
 # (condition, join) pairs in one block of the oracle's conditionals;
 # larger blocks gain no speed and raise peak memory
@@ -213,24 +223,35 @@ def _flat(parts: Sequence[np.ndarray], g: int) -> np.ndarray:
     return flat
 
 
+def _lattice(grid: GridSpec, n: int) -> np.ndarray:
+    """The lattice points, shape (g,)*n + (n,)."""
+    return grid.points()[np.stack(np.indices((grid.resolution,) * n), axis=-1)]
+
+
+def _point(grid: GridSpec, n: int, flat: int) -> tuple[float, ...]:
+    """The lattice point with flat (row-major) index ``flat``."""
+    return tuple(grid.points()[list(np.unravel_index(flat, (grid.resolution,) * n))])
+
+
 def _pairwise_verdict(
     spec: CopulaSpec,
     d: Direction,
     grid: GridSpec,
     tol: float,
     notion: Notion,
+    table: np.ndarray | None = None,
 ) -> DirectionVerdict:
     """Pairwise inequality gathered from one lattice table of the direction.
 
-    Mixed directions swap the negative-axis coordinates of u and u';
-    pure ones swap axis 0 and read the copula or survival table.
+    Mixed directions swap the negative-axis coordinates of u and u' and
+    read F_d (``table`` when given); pure ones swap axis 0 and read the
+    copula or survival table.
     """
     g, n = grid.resolution, spec.dim
-    lattice = grid.points()[np.stack(np.indices((g,) * n), axis=-1)]
     if d.is_pure:
-        table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, lattice)
-    else:
-        table = _orthant_array(spec, d, lattice)
+        table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, _lattice(grid, n))
+    elif table is None:
+        table = _orthant_array(spec, d, _lattice(grid, n))
     table = table.ravel()
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
@@ -258,11 +279,10 @@ def _pairwise_verdict(
     key[~violating] = np.iinfo(key.dtype).max
     i = int(key.argmin())
     u, up = divmod(int(key.flat[i]), table.size)
-    points = lattice.reshape(-1, n)
     cex = Counterexample(
         d,
-        tuple(points[u]),
-        tuple(points[up]),
+        _point(grid, n, u),
+        _point(grid, n, up),
         float(lhs.flat[i]),
         float(rhs.flat[i]),
         float(slack.flat[i]),
@@ -277,17 +297,83 @@ def check_direction_inequality(
     grid: GridSpec,
     tol: float = DEFAULT_TOL,
     notion: Notion = Notion.INCREASING,
+    *,
+    table: np.ndarray | None = None,
 ) -> DirectionVerdict:
     """Scan every ordered grid pair with the pairwise inequality.
 
     Pure directions in dim >= 4 come back as unsupported; route those to
-    the oracle.
+    the oracle.  ``table`` is F_d on the lattice, which a mixed direction
+    reads; it is evaluated here when not given.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
     if d.is_pure and spec.dim > 3:
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
-    return _pairwise_verdict(spec, d, grid, tol, notion)
+    return _pairwise_verdict(spec, d, grid, tol, notion, table)
+
+
+class _OraclePlan(NamedTuple):
+    """The oracle's index arithmetic on an oriented (g,)*n table.
+
+    Per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a]; in
+    the oriented table they are the same for every direction.  Axes
+    before ``lead`` take one pair per block, ``lead`` a run of pairs in
+    ``order`` and the axes after it every pair.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    nxt: np.ndarray  # the pair one step further, for all but the last, (g-1, g-1)
+    targets: np.ndarray  # the targets joining each pair's condition to its join
+    lead: int
+    run: int
+    # the lead axis's pairs by descending join, then condition, where a
+    # pair's step neighbour is the one before it or, for a diagonal pair,
+    # the diagonal pair before it; per position, that neighbour's position
+    # (-1 for the first, which has none) and the last diagonal's so far
+    order: np.ndarray
+    back: np.ndarray
+    diagonal: np.ndarray
+    # flat table offsets of the lead axis's joins and conditions in
+    # ``order``, and of every combination of pairs on the axes after it
+    join_lead: np.ndarray
+    cond_lead: np.ndarray
+    join_tail: np.ndarray | int
+    cond_tail: np.ndarray | int
+
+
+@lru_cache(maxsize=8)
+def _oracle_plan(g: int, n: int, block: int) -> _OraclePlan:
+    """The gather plan of every direction on the (g,)*n lattice, for
+    blocks of at most ``block`` (condition, join) pairs."""
+    lo, hi = np.triu_indices(g)
+    pairs = lo.size
+    pair = np.zeros((g, g), dtype=lo.dtype)
+    pair[lo, hi] = np.arange(pairs)
+    # the condition steps, and the join with it when the two are equal
+    nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
+    # the join itself, or any of the lo + 1 indices up to the condition
+    # when the two are equal
+    targets = np.where(lo == hi, lo + 1, 1)
+    lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= block)
+    tail = n - 1 - lead
+    order = np.lexsort((lo, hi))[::-1]
+    position = np.empty_like(order)
+    position[order] = np.arange(pairs)
+    back = np.append(-1, position[nxt[order[1:]]])
+    diagonal = np.maximum.accumulate(np.where(lo[order] == hi[order], np.arange(pairs), -1))
+    lead_shape = (-1,) + (1,) * tail
+    plan = _OraclePlan(
+        lo, hi, nxt, targets, lead, block // pairs**tail, order, back, diagonal,
+        (hi[order] * g**tail).reshape(lead_shape), (lo[order] * g**tail).reshape(lead_shape),
+        _flat([hi] * tail, g), _flat([lo] * tail, g),
+    )
+    # every scan of the lattice shares these arrays
+    for part in plan:
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+    return plan
 
 
 def check_direction_oracle(
@@ -297,6 +383,8 @@ def check_direction_oracle(
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
     notion: Notion = Notion.INCREASING,
+    *,
+    table: np.ndarray | None = None,
 ) -> DirectionVerdict:
     """Check conditional orthant probabilities straight off the definition.
 
@@ -306,100 +394,139 @@ def check_direction_oracle(
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
     skipped; a direction left with no comparison is unsupported.
+    ``table`` is F_d on the lattice, as ``scan_direction`` shares it
+    between the routes; it is evaluated here when not given.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
     w in d's order.  The step leaves z as it is, or steps it with w where
     the two share the stepped coordinate, so a comparison depends on v
     only through z.  Each distinct (w, z, axis) is evaluated once, in
     blocks of at most _BLOCK (w, z) pairs so that memory stays
-    O(_BLOCK + g^n), and counts once per target that joins w to z.  The
+    O(_BLOCK + g^n), and counts once per target that joins w to z.  With
+    the negative axes of F_d flipped, a step along d raises every index,
+    so one gather plan (``_oracle_plan``) serves every direction of the
+    lattice, and a lead-axis step reads a slab already computed.  The
     reported violation is the one with the smallest key
     (p * g^n + q) * n + k, for flat target index p, flat index q of the
-    earlier condition and axis k.
+    earlier condition and axis k, in the lattice's own coordinates.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
     g, n = grid.resolution, spec.dim
-    lattice = grid.points()[np.stack(np.indices((g,) * n), axis=-1)]
-    table = _orthant_array(spec, d, lattice).ravel()
-    den = np.where(table >= eps_den, table, np.nan)
+    if table is None:
+        table = _orthant_array(spec, d, _lattice(grid, n))
+    # flip the negative axes: in this table a step along d raises the index
+    flip = tuple(slice(None, None, s) for s in d.signs)
+    table = np.ascontiguousarray(table.reshape((g,) * n)[flip]).ravel()
+    defined = table >= eps_den
+    den = np.where(defined, table, np.nan)
+    # every slack is finite when every denominator is defined and no
+    # quotient can overflow a difference
+    finite = bool(defined.all()) and bool(np.isfinite(2 * (table.max() / table.min())))
     total = table.size
-    # per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a],
-    # counted in d's order; the last pair, (g-1, g-1), has no step
-    lo, hi = np.triu_indices(g)
-    pairs = lo.size
-    pair = np.zeros((g, g), dtype=lo.dtype)
-    pair[lo, hi] = np.arange(pairs)
-    # the pair one step further: the condition steps, and the join with it
-    # when the two are equal
-    nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
-    # the targets joining the condition to the join: the join itself, or
-    # any of the lo + 1 indices up to the condition when the two are equal
-    targets = np.where(lo == hi, lo + 1, 1)
-    cond_idx, join_idx, keys = [], [], []
+    plan = _oracle_plan(g, n, _BLOCK)
+    lo, hi, nxt, targets, lead = plan.lo, plan.hi, plan.nxt, plan.targets, plan.lead
+    pairs, tail = lo.size, n - 1 - lead
+    stride = [g ** (n - 1 - j) for j in range(n)]
+    # the key of each pair: the lattice index of the smallest target that
+    # joins its condition to its join, times g^n, plus the condition's
+    # index, in the lattice's own coordinates; _flat of the key parts
+    # gives p * g^n + q
+    keys = []
     for s in d.signs:
         w, z = (lo, hi) if s > 0 else (g - 1 - lo, g - 1 - hi)
-        # lattice index of the smallest such target; _flat of the key
-        # parts gives p * g^n + q
-        smallest = np.where(lo == hi, 0 if s > 0 else w, z)
-        cond_idx.append(w)
-        join_idx.append(z)
-        keys.append(smallest * total + w)
+        keys.append(np.where(lo == hi, 0 if s > 0 else w, z) * total + w)
 
-    def quotient(parts: list[np.ndarray]) -> np.ndarray:
-        # conditionals of every combination of per-axis pairs
-        z = _flat([join_idx[j][a] for j, a in enumerate(parts)], g)
-        return table[z] / den[_flat([cond_idx[j][a] for j, a in enumerate(parts)], g)]
+    def quotient(join: int, cond: int, b0: int, b1: int) -> np.ndarray:
+        # conditionals of a block, from its head offsets and lead positions
+        z = join + plan.join_lead[b0:b1] + plan.join_tail
+        w = cond + plan.cond_lead[b0:b1] + plan.cond_tail
+        return (table[z] / den[w]).reshape((1,) * lead + z.shape)
 
+    every = [np.arange(pairs)] * tail
+    # the targets of every pair of an axis, and of those with a step
+    whole = int(targets.sum())
+    stepped = whole - int(targets[-1])
+    # the keys of every combination of pairs on the axes after lead
+    tail_key = np.asarray(_flat(keys[lead + 1 :], g))
     comparisons = 0
     max_slack: float | None = None
     first: tuple[int, float, float] | None = None
-    # blocks: a run of pairs on axis `lead`, every pair on the axes after
-    # it and one pair on each axis before it
-    lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= _BLOCK)
-    run = _BLOCK // pairs ** (n - 1 - lead)
-    every = np.arange(pairs)
+
+    def compare(lhs: np.ndarray, rhs: np.ndarray, head: tuple, run_ids: np.ndarray, k: int):
+        # lhs against rhs, stepped on axis k, for the pairs ``head`` before
+        # lead, ``run_ids`` on lead and every pair with a step after it
+        nonlocal comparisons, max_slack, first
+        if notion is Notion.DECREASING:
+            lhs, rhs = rhs, lhs
+        slack = lhs - rhs
+        after = (slice(None),) * (k - lead - 1) + (slice(pairs - 1),) if k > lead else ()
+        ok = None if finite else np.isfinite(slack)
+        if ok is None or ok.all():
+            # a product of per-axis target sums; each axis after lead sums
+            # every pair, or every pair with a step when it is axis k
+            count = prod(int(targets[a]) for a in head) * int(targets[run_ids].sum())
+            count *= whole ** (tail - 1) * stepped if after else whole**tail
+        else:
+            ids = [np.array([a]) for a in head] + [run_ids] + every
+            if after:
+                ids[k] = ids[k][:-1]
+            weights = [targets[a] for a in ids]
+            count = int(reduce(np.multiply, np.ix_(*weights)).sum(where=ok))
+            # an undefined comparison is neither a maximum nor a violation
+            slack = np.where(ok, slack, -np.inf)
+        if not count:
+            return
+        comparisons += count
+        local_max = float(slack.max())
+        max_slack = local_max if max_slack is None else max(max_slack, local_max)
+        if local_max > tol:
+            key = sum(int(keys[j][a]) * stride[j] for j, a in enumerate(head))
+            key += (keys[lead][run_ids] * stride[lead]).reshape((-1,) + (1,) * tail)
+            key = (key + tail_key[after]).reshape(slack.shape)
+            key[~(slack > tol)] = np.iinfo(key.dtype).max
+            i = int(key.argmin())
+            key_k = int(key.flat[i]) * n + k
+            if first is None or key_k < first[0]:
+                first = (key_k, float(lhs.flat[i]), float(rhs.flat[i]))
+
+    at = (slice(None),) * lead
     for head in np.ndindex((pairs,) * lead):
-        for a0 in range(0, pairs, run):
-            parts = [np.array([a]) for a in head] + [every[a0 : a0 + run]]
-            parts += [every] * (n - 1 - lead)
-            cond = quotient(parts)
-            for k in range(n):
-                # pairs with a step on axis k: all but the last, (g-1, g-1)
-                steps = parts[k][parts[k] < len(nxt)]
-                if not steps.size:
-                    continue
-                stepped = parts[:k] + [steps] + parts[k + 1 :]
-                lhs = cond[(slice(None),) * k + (slice(steps.size),)]
-                if parts[k].size == pairs:
-                    rhs = cond.take(nxt, axis=k)
+        join = sum(int(hi[a]) * stride[j] for j, a in enumerate(head))
+        cond = sum(int(lo[a]) * stride[j] for j, a in enumerate(head))
+        # the last slab and the last diagonal slab of the lead axis so far,
+        # by position in plan.order
+        carried: dict[int, np.ndarray] = {}
+        for b0 in range(0, pairs, plan.run):
+            b1 = min(b0 + plan.run, pairs)
+            block = quotient(join, cond, b0, b1)
+            for k, a in enumerate(head):
+                # a step before lead leaves the block: compute its neighbour
+                if a < len(nxt):
+                    dz, dw = (int(x[nxt[a]] - x[a]) * stride[k] for x in (hi, lo))
+                    rhs = quotient(join + dz, cond + dw, b0, b1)
+                    compare(block, rhs, head, plan.order[b0:b1], k)
+            # the first position, the last pair, has no step
+            skip = int(b0 == 0)
+            back = plan.back[b0 + skip : b1]
+            if back.size:
+                outside = np.flatnonzero(back < b0)
+                if back.size == outside.size == 1:
+                    rhs = carried[int(back[0])]
                 else:
-                    # the neighbour lies in another block
-                    rhs = quotient(parts[:k] + [nxt[steps]] + parts[k + 1 :])
-                if notion is Notion.DECREASING:
-                    lhs, rhs = rhs, lhs
-                slack = lhs - rhs
-                ok = np.isfinite(slack)
-                weights = [targets[a] for a in stepped]
-                if ok.all():
-                    count = prod(int(w.sum()) for w in weights)
-                else:
-                    count = int(reduce(np.multiply, np.ix_(*weights)).sum(where=ok))
-                    # an undefined comparison is neither a maximum nor a violation
-                    slack = np.where(ok, slack, -np.inf)
-                if not count:
-                    continue
-                comparisons += count
-                local_max = float(slack.max())
-                max_slack = local_max if max_slack is None else max(max_slack, local_max)
-                violating = slack > tol
-                if violating.any():
-                    key = _flat([keys[j][a] for j, a in enumerate(stepped)], g)
-                    key[~violating] = np.iinfo(key.dtype).max
-                    i = int(key.argmin())
-                    key_k = int(key.flat[i]) * n + k
-                    if first is None or key_k < first[0]:
-                        first = (key_k, float(lhs.flat[i]), float(rhs.flat[i]))
+                    rhs = block.take(np.maximum(back - b0, 0), axis=lead)
+                    for i in outside:
+                        rhs[at + (slice(i, i + 1),)] = carried[int(back[i])]
+                lhs = block[at + (slice(skip, None),)]
+                compare(lhs, rhs, head, plan.order[b0 + skip : b1], lead)
+            for k in range(lead + 1, n):
+                lhs = block[(slice(None),) * k + (slice(pairs - 1),)]
+                compare(lhs, block.take(nxt, axis=k), head, plan.order[b0:b1], k)
+            # copied, so that the rest of the block can be freed
+            carried = {
+                j: block[at + (slice(j - b0, j - b0 + 1),)].copy() if j >= b0 else carried[j]
+                for j in {b1 - 1, int(plan.diagonal[b1 - 1])}
+            }
 
     if first is None:
         # no defined comparison at all would make a pass vacuous
@@ -409,8 +536,7 @@ def check_direction_oracle(
     p, rest = divmod(key, total * n)
     q, k = divmod(rest, n)
     q_later = q + g ** (n - 1 - k) * d.signs[k]
-    points = lattice.reshape(-1, n)
-    earlier_pt, later_pt = tuple(points[q]), tuple(points[q_later])
+    earlier_pt, later_pt = _point(grid, n, q), _point(grid, n, q_later)
     low_pt, high_pt = (earlier_pt, later_pt) if k in d.pos_idx else (later_pt, earlier_pt)
     cex = Counterexample(
         d,
@@ -420,7 +546,7 @@ def check_direction_oracle(
         rhs_val,
         lhs_val - rhs_val,
         kind="step",
-        target=tuple(points[p]),
+        target=_point(grid, n, p),
         axis=k,
     )
     return DirectionVerdict(d, METHOD_ORACLE, REFUTED, comparisons, max_slack, cex)
@@ -464,8 +590,10 @@ def scan_direction(
         orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
         verdict = replace(orac, oracle_outcome=orac.outcome)
     elif method == METHOD_BOTH:
-        ineq = check_direction_inequality(spec, d, grid, tol, notion)
-        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
+        # one F_d table for both routes
+        table = _orthant_array(spec, d, _lattice(grid, spec.dim))
+        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=table)
+        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
         outcomes = dict(
             inequality_outcome=ineq.outcome,
             oracle_outcome=orac.outcome,
@@ -510,9 +638,19 @@ def scan_all_directions(
     allow_conjectural_pure: bool = False,
     directions: Sequence[Direction] | None = None,
 ) -> list[DirectionVerdict]:
-    """Verdicts for every requested direction (default: all 2^n of them)."""
+    """Verdicts for every requested direction (default: all 2^n of them).
+
+    A lattice that no table can hold is refused before anything is
+    allocated: more axes than an array has, or more bytes for its
+    coordinates alone than the machine has memory.
+    """
     validate(spec)
-    chosen = all_directions(spec.dim) if directions is None else directions
+    g, n = grid.resolution, spec.dim
+    if n > _MAX_DIM:
+        raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
+    if g**n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise MemoryError(f"the {g}^{n} lattice points do not fit in memory")
+    chosen = iter_directions(n) if directions is None else directions
     return [
         scan_direction(
             spec, d, grid, method, tol, eps_den, notion, allow_conjectural_pure

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionError(ValueError):
@@ -87,11 +87,16 @@ def direction_from_token(token: str) -> Direction:
     return make_direction(signs)
 
 
-def all_directions(dim: int) -> list[Direction]:
-    """Every sign vector of the given dimension, all-positive first."""
+def iter_directions(dim: int) -> Iterator[Direction]:
+    """Every sign vector of the given dimension, all-positive first, one at a time."""
     if dim < 2:
         raise DimensionError(f"dimension must be >= 2, got {dim}")
-    return [make_direction(sv) for sv in itertools.product((1, -1), repeat=dim)]
+    return map(make_direction, itertools.product((1, -1), repeat=dim))
+
+
+def all_directions(dim: int) -> list[Direction]:
+    """Every sign vector of the given dimension, all-positive first."""
+    return list(iter_directions(dim))
 
 
 def join_direction(d: Direction, v: Sequence[float], vp: Sequence[float]) -> Point:

@@ -25,6 +25,7 @@ from dirmono import (
     scan_all_directions,
     survival_cdf,
 )
+from dirmono.cli import main
 from helpers import (
     Box,
     all_sign_vectors,
@@ -317,3 +318,18 @@ def test_fixture_suite_runs_with_expected_exit_codes():
     assert seen == set(_FIXTURE_EXPECTATIONS)
     assert set(pinned) == {p for p, code in _FIXTURE_EXPECTATIONS.items() if code != 2}
     print(f"[acceptance] fixture suite: PASS  {len(seen)} configs with expected exit codes")
+
+
+def test_oracle_reports_match_pinned(capsys):
+    # oracle and both scans that the fixtures do not cover (the D notion,
+    # large and tiny --eps-den, n = 4), pinned as the scans reported them
+    # before the oracle moved to an oriented table; compared as json text,
+    # timing removed, so a changed last bit or sign of zero shows
+    pinned = json.loads((REPO / "tests" / "oracle_reports.json").read_text())
+    for name, case in pinned.items():
+        code = main(case["argv"])
+        report = json.loads(capsys.readouterr().out)
+        del report["timing"]
+        assert code == case["exit_code"], name
+        assert json.dumps(report) == json.dumps(case["report"]), name
+    print(f"[acceptance] pinned oracle reports: PASS  {len(pinned)} scans byte-identical")

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -34,6 +35,14 @@ from dirmono import checker
 from dirmono.checker import DEFAULT_TOL, Counterexample, _pairwise_verdict
 from dirmono.orthant import DEFAULT_EPS_DEN
 from helpers import family_zoo
+
+
+@pytest.fixture
+def cold_plan():
+    """An empty gather-plan cache, so that a test builds and measures its own plan."""
+    checker._oracle_plan.cache_clear()
+    yield
+    checker._oracle_plan.cache_clear()
 
 
 def pass_set(verdicts):
@@ -224,6 +233,19 @@ class TestScans:
         a = scan_all_directions(spec, GridSpec(9), method=METHOD_BOTH)
         b = scan_all_directions(spec, GridSpec(9), method=METHOD_BOTH)
         assert a == b
+
+    def test_both_routes_share_one_table_per_direction(self, monkeypatch):
+        evaluate, tables = checker._orthant_array, Counter()
+
+        def counted(spec, d, arr):
+            tables[d] += 1
+            return evaluate(spec, d, arr)
+
+        monkeypatch.setattr(checker, "_orthant_array", counted)
+        spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
+        verdicts = scan_all_directions(spec, GridSpec(4), method=METHOD_BOTH)
+        assert set(tables) == {v.direction for v in verdicts}
+        assert sum(tables.values()) == len(verdicts) == 16
 
     def test_both_on_pure_dim_four_routes_to_oracle(self):
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
@@ -530,7 +552,7 @@ class TestOracleMatchesScalar:
                 gathered = check_direction_oracle(spec, d, GridSpec(g), tol=tol, notion=notion)
                 assert _summary(gathered) == scalar, (d.pretty(), notion)
 
-    def test_memory_stays_within_blocks(self):
+    def test_memory_stays_within_blocks(self, cold_plan):
         # the dense g^n x g^n matrices of a direct evaluation would take
         # over 40 MiB here (g^n = 1600)
         spec = CopulaSpec("amh", 2, {"delta": 0.5})
@@ -542,7 +564,7 @@ class TestOracleMatchesScalar:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_memory_stays_within_blocks_in_five_dims(self):
+    def test_memory_stays_within_blocks_in_five_dims(self, cold_plan):
         # fgm (5,6) has 21^5 ~ 4.1M (condition, join) pairs; blocks of one
         # pair on axis 0 and all the rest would hold 21^4 per array
         spec = CopulaSpec("fgm", 5, {"lambda": 0.5})
@@ -566,10 +588,29 @@ class TestOracleMatchesScalar:
     def test_matches_scalar_for_drawn_settings(self, spec, g, data, notion, eps_den, block):
         d = data.draw(st.sampled_from(all_directions(spec.dim)), label="direction")
         scalar = _scalar_oracle_scan(spec, d, g, eps_den)[notion]
+        # a fixture would clear the plan cache once per test, not per example
+        checker._oracle_plan.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(checker, "_BLOCK", block)
             gathered = check_direction_oracle(spec, d, GridSpec(g), eps_den=eps_den, notion=notion)
         assert _summary(gathered) == scalar
+
+    def test_plan_follows_the_block_size(self, cold_plan, monkeypatch):
+        # a plan cached for the default block must not serve a smaller one:
+        # fgm (3,6) has 21^3 = 9261 (condition, join) pairs in one default
+        # block, about 380 KiB of arrays at peak, and 21 in a block of 25
+        spec, grid = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(6)
+        d = make_direction([1, 1, 1])
+        default = check_direction_oracle(spec, d, grid)
+        monkeypatch.setattr(checker, "_BLOCK", 25)
+        tracemalloc.start()
+        try:
+            small = check_direction_oracle(spec, d, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert small == default and default.outcome == REFUTED
+        assert peak < 96 * 2**10
 
 
 class TestInequalityMemory:

@@ -295,6 +295,21 @@ class TestExitCodes:
         assert "grid 100000" in err and "dim 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dim", ["100000000000000000000", "70", "30"])
+    def test_lattice_no_table_can_hold_exits_two(self, monkeypatch, capsys, dim):
+        # refused before any direction or lattice point is built: numpy
+        # arrays have at most 64 axes, 10^20 overflows itertools, and 2^30
+        # directions of 3^30 lattice points each would never finish
+        def built(*args, **kwargs):
+            raise AssertionError("built before the lattice was checked")
+
+        monkeypatch.setattr(checker, "iter_directions", built)
+        monkeypatch.setattr(checker, "_lattice", built)
+        assert main(["check", "--family", "product", "--dim", dim]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dirmono: error:") and f"dim {dim}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.xfail(
         reason="under D the oracle's conditional rises to 1 once the condition "
         "passes the target, so it refutes directions the inequality passes "
