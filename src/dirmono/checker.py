@@ -12,24 +12,23 @@ direction, both restricted to a finite interior lattice:
   axis, the conditional orthant probability must move the right way as
   the conditioning point takes one grid step along that axis.
 
-Every point either route touches is a lattice point, so both evaluate
-one table per direction on the lattice, as an n-D array of shape (g,)*n
-(F_d, or for the pure single-swap form the copula or survival copula),
-and become index arithmetic on it.  In ``both`` mode ``scan_direction``
-evaluates F_d once and hands it to both routes.  The inequality route
-gathers each side of every ordered pair from the per-axis pairs
-lo <= hi through ``_flat``, which maps per-axis lattice indices to flat
-table indices for every combination of them, so it holds a few numbers
-per pair and no per-pair index vectors.  The oracle takes the same
-per-axis pairs as a condition w and its join z with the target, in the
-order d gives them: a comparison depends on the target only through z,
-so each distinct (w, z, axis) is evaluated once and weighted by the
-number of targets that join w to z.  It reads F_d with the negative
-axes flipped, where a step along d raises every index and the pairs of
-every axis are the plain lo <= hi, so one gather plan per lattice and
-block size serves all 2^n directions.  It works in blocks of (w, z)
-pairs, so its memory is O(block + g^n), never g^n x g^n, and walks its
-lead axis so that a step's neighbour is a slab it has just computed.
+Every point either route touches is a lattice point, and F_d is a signed
+sum of margins of C, which are C with some coordinates pinned to 1.  So a
+scan evaluates C once, on the lattice with 1.0 appended to every axis
+(``_copula_table``), and reads each direction's F_d, shape (g,)*n, off it
+by slicing; the pure single-swap form reads the raw copula slice or the
+survival copula, evaluated on its own since flipping C's table is not
+bit-exact.  Both routes gather from these n-D tables by per-axis
+``take``s of the per-axis pairs lo <= hi, with no per-pair index
+vectors.  The oracle takes those pairs as a condition w and its join z
+with the target, in the order d gives them: a comparison depends on the
+target only through z, so each distinct (w, z, axis) is evaluated once
+and weighted by the number of targets that join w to z.  It reads F_d
+with the negative axes flipped, where a step along d raises every index,
+so one plan of per-axis vectors per lattice and block size serves all
+2^n directions.  It works in blocks of (w, z) pairs, so its memory is
+O(block + (g+1)^n), never g^n x g^n, and walks its lead axis so that a
+step's neighbour is a slab it has just computed.
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: every
 counterexample a scan reports is recomputed through them, and one that
@@ -52,6 +51,7 @@ parallel execution strategy.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -223,9 +223,45 @@ def _flat(parts: Sequence[np.ndarray], g: int) -> np.ndarray:
     return flat
 
 
-def _lattice(grid: GridSpec, n: int) -> np.ndarray:
-    """The lattice points, shape (g,)*n + (n,)."""
-    return grid.points()[np.stack(np.indices((grid.resolution,) * n), axis=-1)]
+def _lattice(points: np.ndarray, n: int) -> np.ndarray:
+    """Every combination of ``points`` on n axes, shape (m,)*n + (n,)."""
+    return points[np.stack(np.indices((points.size,) * n), axis=-1)]
+
+
+@lru_cache(maxsize=1)
+def _copula_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
+    """C on the lattice with 1.0 appended to every axis, shape (g+1,)*n.
+
+    Reading an axis at index g pins its coordinate to 1, so every margin
+    of C on the lattice is a slice of this table.  The scans of one spec
+    and lattice share it; ``scan_all_directions`` drops it when it ends.
+    """
+    n = spec.dim
+    table = _cdf_array(spec, _lattice(np.append(grid.points(), 1.0), n))
+    # the empty margin is 1, as _pinned_cdf takes it, whatever C(1, ..., 1)
+    # rounds to
+    table[(grid.resolution,) * n] = 1.0
+    table.setflags(write=False)
+    return table
+
+
+def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
+    """F_d on the (g,)*n lattice, read off the copula table.
+
+    The same sum as ``_signed_sum``, in the same order: over subsets S of
+    the positive axes, (-1)**|S| times C with the positive axes outside S
+    pinned to 1.
+    """
+    g, n = ctable.shape[0] - 1, ctable.ndim
+    total = np.zeros((g,) * n)
+    for size in range(len(d.pos_idx) + 1):
+        sign = -1.0 if size % 2 else 1.0
+        for subset in itertools.combinations(d.pos_idx, size):
+            pinned = set(d.pos_idx) - set(subset)
+            total = total + sign * ctable[
+                tuple(slice(g, None) if k in pinned else slice(g) for k in range(n))
+            ]
+    return total
 
 
 def _point(grid: GridSpec, n: int, flat: int) -> tuple[float, ...]:
@@ -244,23 +280,37 @@ def _pairwise_verdict(
     """Pairwise inequality gathered from one lattice table of the direction.
 
     Mixed directions swap the negative-axis coordinates of u and u' and
-    read F_d (``table`` when given); pure ones swap axis 0 and read the
-    copula or survival table.
+    read F_d; pure ones swap axis 0 and read the copula (all-negative) or
+    survival copula (all-positive).  ``table`` is that table on the
+    lattice; it is evaluated here when not given.
     """
     g, n = grid.resolution, spec.dim
-    if d.is_pure:
-        table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, _lattice(grid, n))
-    elif table is None:
-        table = _orthant_array(spec, d, _lattice(grid, n))
-    table = table.ravel()
+    if table is None:
+        lattice = _lattice(grid.points(), n)
+        if d.is_pure:
+            table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, lattice)
+        else:
+            table = _orthant_array(spec, d, lattice)
+    table = table.reshape((g,) * n)
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
+
+    def side(parts: Sequence[np.ndarray]) -> np.ndarray:
+        # table at every combination of the per-axis indices ``parts``; the
+        # last axis first, so that the largest take copies whole rows
+        out = table
+        for k in reversed(range(n)):
+            out = out.take(parts[k], axis=k)
+        return out
 
     def corners(swapped: Sequence[int]) -> np.ndarray:
         # F at the pair's two corners, with lo and hi traded on ``swapped``
         low = [hi if k in swapped else lo for k in range(n)]
         high = [lo if k in swapped else hi for k in range(n)]
-        return table[_flat(low, g)] * table[_flat(high, g)]
+        # in place, so that the product needs no third array of pairs
+        product = side(low)
+        product *= side(high)
+        return product
 
     plain, crossed = corners(()), corners([0] if d.is_pure else d.neg_idx)
     lhs, rhs = (crossed, plain) if d.is_pure else (plain, crossed)
@@ -303,8 +353,9 @@ def check_direction_inequality(
     """Scan every ordered grid pair with the pairwise inequality.
 
     Pure directions in dim >= 4 come back as unsupported; route those to
-    the oracle.  ``table`` is F_d on the lattice, which a mixed direction
-    reads; it is evaluated here when not given.
+    the oracle.  ``table`` is the lattice table the direction's form
+    reads: F_d for a mixed direction, the copula or survival copula for a
+    pure one.  It is evaluated here when not given.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
@@ -335,12 +386,6 @@ class _OraclePlan(NamedTuple):
     order: np.ndarray
     back: np.ndarray
     diagonal: np.ndarray
-    # flat table offsets of the lead axis's joins and conditions in
-    # ``order``, and of every combination of pairs on the axes after it
-    join_lead: np.ndarray
-    cond_lead: np.ndarray
-    join_tail: np.ndarray | int
-    cond_tail: np.ndarray | int
 
 
 @lru_cache(maxsize=8)
@@ -363,11 +408,8 @@ def _oracle_plan(g: int, n: int, block: int) -> _OraclePlan:
     position[order] = np.arange(pairs)
     back = np.append(-1, position[nxt[order[1:]]])
     diagonal = np.maximum.accumulate(np.where(lo[order] == hi[order], np.arange(pairs), -1))
-    lead_shape = (-1,) + (1,) * tail
     plan = _OraclePlan(
-        lo, hi, nxt, targets, lead, block // pairs**tail, order, back, diagonal,
-        (hi[order] * g**tail).reshape(lead_shape), (lo[order] * g**tail).reshape(lead_shape),
-        _flat([hi] * tail, g), _flat([lo] * tail, g),
+        lo, hi, nxt, targets, lead, block // pairs**tail, order, back, diagonal
     )
     # every scan of the lattice shares these arrays
     for part in plan:
@@ -394,8 +436,8 @@ def check_direction_oracle(
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
     skipped; a direction left with no comparison is unsupported.
-    ``table`` is F_d on the lattice, as ``scan_direction`` shares it
-    between the routes; it is evaluated here when not given.
+    ``table`` is F_d on the lattice, as ``scan_direction`` reads it off
+    the copula table; it is evaluated here when not given.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
     w in d's order.  The step leaves z as it is, or steps it with w where
@@ -414,10 +456,10 @@ def check_direction_oracle(
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
     g, n = grid.resolution, spec.dim
     if table is None:
-        table = _orthant_array(spec, d, _lattice(grid, n))
+        table = _orthant_array(spec, d, _lattice(grid.points(), n))
     # flip the negative axes: in this table a step along d raises the index
     flip = tuple(slice(None, None, s) for s in d.signs)
-    table = np.ascontiguousarray(table.reshape((g,) * n)[flip]).ravel()
+    table = np.ascontiguousarray(table.reshape((g,) * n)[flip])
     defined = table >= eps_den
     den = np.where(defined, table, np.nan)
     # every slack is finite when every denominator is defined and no
@@ -437,11 +479,17 @@ def check_direction_oracle(
         w, z = (lo, hi) if s > 0 else (g - 1 - lo, g - 1 - hi)
         keys.append(np.where(lo == hi, 0 if s > 0 else w, z) * total + w)
 
-    def quotient(join: int, cond: int, b0: int, b1: int) -> np.ndarray:
-        # conditionals of a block, from its head offsets and lead positions
-        z = join + plan.join_lead[b0:b1] + plan.join_tail
-        w = cond + plan.cond_lead[b0:b1] + plan.cond_tail
-        return (table[z] / den[w]).reshape((1,) * lead + z.shape)
+    def quotient(head: tuple, b0: int, b1: int) -> np.ndarray:
+        # conditionals of a block: the pairs ``head`` before lead, the lead
+        # pairs at positions b0:b1 of plan.order and every pair after it;
+        # the head is a view, and the tail is taken from its last axis back
+        z, w = table[tuple(hi[a] for a in head)], den[tuple(lo[a] for a in head)]
+        run_ids = plan.order[b0:b1]
+        z, w = z.take(hi[run_ids], axis=0), w.take(lo[run_ids], axis=0)
+        for k in range(tail, 0, -1):
+            z, w = z.take(hi, axis=k), w.take(lo, axis=k)
+        z /= w
+        return z.reshape((1,) * lead + z.shape)
 
     every = [np.arange(pairs)] * tail
     # the targets of every pair of an axis, and of those with a step
@@ -492,19 +540,16 @@ def check_direction_oracle(
 
     at = (slice(None),) * lead
     for head in np.ndindex((pairs,) * lead):
-        join = sum(int(hi[a]) * stride[j] for j, a in enumerate(head))
-        cond = sum(int(lo[a]) * stride[j] for j, a in enumerate(head))
         # the last slab and the last diagonal slab of the lead axis so far,
         # by position in plan.order
         carried: dict[int, np.ndarray] = {}
         for b0 in range(0, pairs, plan.run):
             b1 = min(b0 + plan.run, pairs)
-            block = quotient(join, cond, b0, b1)
+            block = quotient(head, b0, b1)
             for k, a in enumerate(head):
                 # a step before lead leaves the block: compute its neighbour
                 if a < len(nxt):
-                    dz, dw = (int(x[nxt[a]] - x[a]) * stride[k] for x in (hi, lo))
-                    rhs = quotient(join + dz, cond + dw, b0, b1)
+                    rhs = quotient(head[:k] + (nxt[a],) + head[k + 1 :], b0, b1)
                     compare(block, rhs, head, plan.order[b0:b1], k)
             # the first position, the last pair, has no step
             skip = int(b0 == 0)
@@ -570,29 +615,42 @@ def scan_direction(
     defect, not a property of the copula).  A reported counterexample
     that does not re-verify through the scalar path
     (``recheck_counterexample``) sets ``methods_agree`` to False too.
+
+    Both routes read F_d off the copula table of the spec and lattice
+    (``_copula_table``), which every direction of a scan shares.
     """
+    if d.dim != spec.dim:
+        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
+    g, n = grid.resolution, spec.dim
+    ctable = _copula_table(spec, grid)
+    table = _orthant_table(ctable, d)
+    # a pure direction's pairwise form reads C, as the raw slice so that
+    # its signed zeros stay, or the survival copula, which the route
+    # evaluates, since flipping C's table is not bit-exact
+    pairwise = table
+    if d.is_pure:
+        pairwise = ctable[(slice(g),) * n] if d.signs[0] < 0 else None
+
     conjectural: str | None = None
     needs_conjectural = (
         allow_conjectural_pure
         and d.is_pure
-        and spec.dim > 3
+        and n > 3
         and method != METHOD_ORACLE
     )
     if needs_conjectural:
-        conjectural = _pairwise_verdict(spec, d, grid, tol, notion).outcome
+        conjectural = _pairwise_verdict(spec, d, grid, tol, notion, pairwise).outcome
 
     if method == METHOD_INEQUALITY:
-        ineq = check_direction_inequality(spec, d, grid, tol, notion)
+        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
         verdict = replace(
             ineq, inequality_outcome=ineq.outcome, conjectural_outcome=conjectural
         )
     elif method == METHOD_ORACLE:
-        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion)
+        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
         verdict = replace(orac, oracle_outcome=orac.outcome)
     elif method == METHOD_BOTH:
-        # one F_d table for both routes
-        table = _orthant_array(spec, d, _lattice(grid, spec.dim))
-        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=table)
+        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
         orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
         outcomes = dict(
             inequality_outcome=ineq.outcome,
@@ -641,22 +699,25 @@ def scan_all_directions(
     """Verdicts for every requested direction (default: all 2^n of them).
 
     A lattice that no table can hold is refused before anything is
-    allocated: more axes than an array has, or more bytes for its
-    coordinates alone than the machine has memory.
+    allocated: more axes than an array has, or more bytes for the
+    coordinates of the copula table alone than the machine has memory.
     """
     validate(spec)
     g, n = grid.resolution, spec.dim
     if n > _MAX_DIM:
         raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
-    if g**n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise MemoryError(f"the {g}^{n} lattice points do not fit in memory")
+    if (g + 1) ** n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
     chosen = iter_directions(n) if directions is None else directions
-    return [
-        scan_direction(
-            spec, d, grid, method, tol, eps_den, notion, allow_conjectural_pure
-        )
-        for d in chosen
-    ]
+    try:
+        return [
+            scan_direction(
+                spec, d, grid, method, tol, eps_den, notion, allow_conjectural_pure
+            )
+            for d in chosen
+        ]
+    finally:
+        _copula_table.cache_clear()
 
 
 def recheck_counterexample(

@@ -321,10 +321,12 @@ def test_fixture_suite_runs_with_expected_exit_codes():
 
 
 def test_oracle_reports_match_pinned(capsys):
-    # oracle and both scans that the fixtures do not cover (the D notion,
-    # large and tiny --eps-den, n = 4), pinned as the scans reported them
-    # before the oracle moved to an oriented table; compared as json text,
-    # timing removed, so a changed last bit or sign of zero shows
+    # scans that the fixtures do not cover (the D notion, large and tiny
+    # --eps-den, n = 4 and 5, a survival-of family, inequality alone),
+    # pinned as the scans reported them before the oracle moved to an
+    # oriented table or, for the last three, before the routes read one
+    # copula table per scan; compared as json text, timing removed, so a
+    # changed last bit or sign of zero shows
     pinned = json.loads((REPO / "tests" / "oracle_reports.json").read_text())
     for name, case in pinned.items():
         code = main(case["argv"])

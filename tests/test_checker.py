@@ -31,9 +31,9 @@ from dirmono import (
     scan_direction,
     survival_cdf,
 )
-from dirmono import checker
+from dirmono import checker, families
 from dirmono.checker import DEFAULT_TOL, Counterexample, _pairwise_verdict
-from dirmono.orthant import DEFAULT_EPS_DEN
+from dirmono.orthant import DEFAULT_EPS_DEN, _orthant_array
 from helpers import family_zoo
 
 
@@ -71,6 +71,22 @@ class TestGridSpec:
         assert GridSpec.default_resolution(3) == 9
         assert GridSpec.default_resolution(4) == 6
         assert GridSpec.default_resolution(5) == 4
+
+
+class TestCopulaTable:
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    def test_tables_match_direct_evaluation_bit_for_bit(self, g):
+        # compared as bytes, so that a changed last bit or sign of zero shows
+        grid = GridSpec(g)
+        for spec in family_zoo():
+            ctable = checker._copula_table(spec, grid)
+            lattice = checker._lattice(grid.points(), spec.dim)
+            raw = ctable[(slice(g),) * spec.dim]
+            assert raw.tobytes() == families._cdf_array(spec, lattice).tobytes()
+            for d in all_directions(spec.dim):
+                read = checker._orthant_table(ctable, d)
+                direct = _orthant_array(spec, d, lattice)
+                assert read.tobytes() == direct.tobytes(), (spec.describe(), d.pretty())
 
 
 class TestPairChecks:
@@ -235,17 +251,30 @@ class TestScans:
         assert a == b
 
     def test_both_routes_share_one_table_per_direction(self, monkeypatch):
-        evaluate, tables = checker._orthant_array, Counter()
+        # one F_d per direction for both routes, all read off one copula
+        # table per scan, evaluated in one call on the lattice; the scalar
+        # recheck evaluates single points and pair corners
+        read, tables = checker._orthant_table, Counter()
+        evaluate, lattices = families._cdf_array, []
 
-        def counted(spec, d, arr):
+        def counted_read(ctable, d):
             tables[d] += 1
-            return evaluate(spec, d, arr)
+            return read(ctable, d)
 
-        monkeypatch.setattr(checker, "_orthant_array", counted)
+        def counted_evaluate(spec, arr):
+            if arr.ndim == spec.dim + 1:
+                lattices.append(arr.shape)
+            return evaluate(spec, arr)
+
+        monkeypatch.setattr(checker, "_orthant_table", counted_read)
+        monkeypatch.setattr(checker, "_cdf_array", counted_evaluate)
+        monkeypatch.setattr(families, "_cdf_array", counted_evaluate)
+        checker._copula_table.cache_clear()
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
         verdicts = scan_all_directions(spec, GridSpec(4), method=METHOD_BOTH)
         assert set(tables) == {v.direction for v in verdicts}
         assert sum(tables.values()) == len(verdicts) == 16
+        assert lattices == [(5, 5, 5, 5, 4)]
 
     def test_both_on_pure_dim_four_routes_to_oracle(self):
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
@@ -611,6 +640,12 @@ class TestOracleMatchesScalar:
             tracemalloc.stop()
         assert small == default and default.outcome == REFUTED
         assert peak < 96 * 2**10
+
+    def test_cached_plan_holds_per_axis_vectors_only(self, cold_plan):
+        # flat table offsets of every combination of the two tail axes'
+        # 120 pairs took about 230 KiB here
+        plan = checker._oracle_plan(15, 3, checker._BLOCK)
+        assert sum(p.nbytes for p in plan if isinstance(p, np.ndarray)) < 16 * 2**10
 
 
 class TestInequalityMemory:

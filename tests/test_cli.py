@@ -295,17 +295,24 @@ class TestExitCodes:
         assert "grid 100000" in err and "dim 2" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("dim", ["100000000000000000000", "70", "30"])
-    def test_lattice_no_table_can_hold_exits_two(self, monkeypatch, capsys, dim):
+    @pytest.mark.parametrize(
+        "dim, grid",
+        [("100000000000000000000", "3"), ("70", "3"), ("30", "3"), ("24", "2")],
+        ids=["100000000000000000000", "70", "30", "24"],
+    )
+    def test_lattice_no_table_can_hold_exits_two(self, monkeypatch, capsys, dim, grid):
         # refused before any direction or lattice point is built: numpy
-        # arrays have at most 64 axes, 10^20 overflows itertools, and 2^30
-        # directions of 3^30 lattice points each would never finish
+        # arrays have at most 64 axes, 10^20 overflows itertools, 2^30
+        # directions of 3^30 lattice points each would never finish, and
+        # the copula table of 3^24 points, with 1.0 appended to both grid
+        # points of each axis, has 24 coordinates per point (2^24 lattice
+        # points alone would fit)
         def built(*args, **kwargs):
             raise AssertionError("built before the lattice was checked")
 
         monkeypatch.setattr(checker, "iter_directions", built)
         monkeypatch.setattr(checker, "_lattice", built)
-        assert main(["check", "--family", "product", "--dim", dim]) == 2
+        assert main(["check", "--family", "product", "--dim", dim, "--grid", grid]) == 2
         err = capsys.readouterr().err
         assert err.startswith("dirmono: error:") and f"dim {dim}" in err
         assert "Traceback" not in err
