@@ -30,9 +30,11 @@ so one plan of per-axis vectors per lattice and block size serves all
 O(block + (g+1)^n), never g^n x g^n, and walks its lead axis so that a
 step's neighbour is a slab it has just computed.
 The scalar functions ``check_pair`` (one pair, either direction kind)
-and ``conditional_prob`` are the independent recheck path: every
-counterexample a scan reports is recomputed through them, and one that
-does not re-verify is flagged as a disagreement.
+and ``conditional_prob`` are the independent recheck path: they evaluate
+F_d at single points as the signed sum of margins (``_orthant_array``),
+not off the table, every counterexample a scan reports is recomputed
+through them, and one that does not re-verify is flagged as a
+disagreement.
 
 A direction that survives every check at a given resolution is reported
 as a pass at that resolution, never as proved; an oracle scan left with
@@ -71,7 +73,6 @@ from .orthant import (
     DEFAULT_EPS_DEN,
     _orthant_array,
     conditional_prob,
-    orthant_prob,
 )
 
 DEFAULT_TOL = 1e-9
@@ -201,7 +202,7 @@ def check_pair(
     if d.is_pure:
         h = (cdf if d.signs[0] < 0 else survival_cdf)(spec, corners)
     else:
-        h = orthant_prob(spec, d, corners)
+        h = _orthant_array(spec, d, np.array(corners))
     plain, crossed = float(h[0] * h[1]), float(h[2] * h[3])
     lhs, rhs = (crossed, plain) if d.is_pure else (plain, crossed)
     if notion is Notion.DECREASING:
@@ -228,13 +229,11 @@ def _lattice(points: np.ndarray, n: int) -> np.ndarray:
     return points[np.stack(np.indices((points.size,) * n), axis=-1)]
 
 
-@lru_cache(maxsize=1)
 def _copula_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
     """C on the lattice with 1.0 appended to every axis, shape (g+1,)*n.
 
     Reading an axis at index g pins its coordinate to 1, so every margin
-    of C on the lattice is a slice of this table.  The scans of one spec
-    and lattice share it; ``scan_all_directions`` drops it when it ends.
+    of C on the lattice is a slice of this table.
     """
     n = spec.dim
     table = _cdf_array(spec, _lattice(np.append(grid.points(), 1.0), n))
@@ -264,6 +263,27 @@ def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
     return total
 
 
+def _read_tables(ctable: np.ndarray, d: Direction) -> tuple[np.ndarray, np.ndarray | None]:
+    """F_d, and the table the pairwise form of ``d`` reads, off the copula
+    table.
+
+    A mixed direction's pairwise form reads F_d, the all-negative one C,
+    as the raw slice so that its signed zeros stay.  The all-positive one
+    reads the survival copula, which is evaluated on its own, since
+    flipping C's table is not bit-exact; it comes back as None.
+    """
+    g, n = ctable.shape[0] - 1, ctable.ndim
+    table = _orthant_table(ctable, d)
+    if not d.is_pure:
+        return table, table
+    return table, ctable[(slice(g),) * n] if d.signs[0] < 0 else None
+
+
+# the copula table of each scan_all_directions call in progress, which its
+# directions share; it is dropped when the call returns
+_SCAN_TABLES: dict[tuple[CopulaSpec, GridSpec], np.ndarray] = {}
+
+
 def _point(grid: GridSpec, n: int, flat: int) -> tuple[float, ...]:
     """The lattice point with flat (row-major) index ``flat``."""
     return tuple(grid.points()[list(np.unravel_index(flat, (grid.resolution,) * n))])
@@ -282,15 +302,14 @@ def _pairwise_verdict(
     Mixed directions swap the negative-axis coordinates of u and u' and
     read F_d; pure ones swap axis 0 and read the copula (all-negative) or
     survival copula (all-positive).  ``table`` is that table on the
-    lattice; it is evaluated here when not given.
+    lattice; when not given, it is read off the copula table as a scan
+    reads it, and the survival copula is evaluated here.
     """
     g, n = grid.resolution, spec.dim
+    if table is None and not (d.is_pure and d.signs[0] > 0):
+        table = _read_tables(_copula_table(spec, grid), d)[1]
     if table is None:
-        lattice = _lattice(grid.points(), n)
-        if d.is_pure:
-            table = (_cdf_array if d.signs[0] < 0 else _survival_array)(spec, lattice)
-        else:
-            table = _orthant_array(spec, d, lattice)
+        table = _survival_array(spec, _lattice(grid.points(), n))
     table = table.reshape((g,) * n)
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
@@ -436,8 +455,8 @@ def check_direction_oracle(
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
     skipped; a direction left with no comparison is unsupported.
-    ``table`` is F_d on the lattice, as ``scan_direction`` reads it off
-    the copula table; it is evaluated here when not given.
+    ``table`` is F_d on the lattice; when not given, it is read off the
+    copula table as ``scan_direction`` reads it.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
     w in d's order.  The step leaves z as it is, or steps it with w where
@@ -456,7 +475,7 @@ def check_direction_oracle(
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
     g, n = grid.resolution, spec.dim
     if table is None:
-        table = _orthant_array(spec, d, _lattice(grid.points(), n))
+        table = _orthant_table(_copula_table(spec, grid), d)
     # flip the negative axes: in this table a step along d raises the index
     flip = tuple(slice(None, None, s) for s in d.signs)
     table = np.ascontiguousarray(table.reshape((g,) * n)[flip])
@@ -616,20 +635,18 @@ def scan_direction(
     that does not re-verify through the scalar path
     (``recheck_counterexample``) sets ``methods_agree`` to False too.
 
-    Both routes read F_d off the copula table of the spec and lattice
-    (``_copula_table``), which every direction of a scan shares.
+    Both routes read their tables off the copula table of the spec and
+    lattice (``_copula_table``).  Every direction of a
+    ``scan_all_directions`` call shares that call's table; a direct call
+    evaluates its own and frees it when it returns.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
-    g, n = grid.resolution, spec.dim
-    ctable = _copula_table(spec, grid)
-    table = _orthant_table(ctable, d)
-    # a pure direction's pairwise form reads C, as the raw slice so that
-    # its signed zeros stay, or the survival copula, which the route
-    # evaluates, since flipping C's table is not bit-exact
-    pairwise = table
-    if d.is_pure:
-        pairwise = ctable[(slice(g),) * n] if d.signs[0] < 0 else None
+    n = spec.dim
+    ctable = _SCAN_TABLES.get((spec, grid))
+    if ctable is None:
+        ctable = _copula_table(spec, grid)
+    table, pairwise = _read_tables(ctable, d)
 
     conjectural: str | None = None
     needs_conjectural = (
@@ -709,6 +726,7 @@ def scan_all_directions(
     if (g + 1) ** n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
     chosen = iter_directions(n) if directions is None else directions
+    _SCAN_TABLES[spec, grid] = _copula_table(spec, grid)
     try:
         return [
             scan_direction(
@@ -717,7 +735,7 @@ def scan_all_directions(
             for d in chosen
         ]
     finally:
-        _copula_table.cache_clear()
+        _SCAN_TABLES.pop((spec, grid), None)
 
 
 def recheck_counterexample(

@@ -245,7 +245,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         n, g = config.spec.dim, config.grid
         print(
             f"dirmono: error: not enough memory to scan the lattice of grid {g} "
-            f"in dim {n} ({g}^{n} points); try a smaller --grid or --dim",
+            f"in dim {n} (a copula table of {g + 1}^{n} points); try a smaller "
+            "--grid or --dim",
             file=sys.stderr,
         )
         return 2

@@ -269,12 +269,23 @@ class TestScans:
         monkeypatch.setattr(checker, "_orthant_table", counted_read)
         monkeypatch.setattr(checker, "_cdf_array", counted_evaluate)
         monkeypatch.setattr(families, "_cdf_array", counted_evaluate)
-        checker._copula_table.cache_clear()
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
         verdicts = scan_all_directions(spec, GridSpec(4), method=METHOD_BOTH)
         assert set(tables) == {v.direction for v in verdicts}
         assert sum(tables.values()) == len(verdicts) == 16
         assert lattices == [(5, 5, 5, 5, 4)]
+
+    def test_no_copula_table_outlives_its_scan(self):
+        # a table of (g+1)^n points must not stay allocated once the
+        # scan, or a direct call of one direction, has returned
+        spec, grid = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(4)
+        scan_all_directions(spec, grid)
+        assert checker._SCAN_TABLES == {}
+        scan_direction(spec, make_direction([1, -1, 1]), grid)
+        assert checker._SCAN_TABLES == {}
+        with pytest.raises(DimensionError):
+            scan_all_directions(spec, grid, directions=[make_direction([1, -1])])
+        assert checker._SCAN_TABLES == {}
 
     def test_both_on_pure_dim_four_routes_to_oracle(self):
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
