@@ -21,14 +21,18 @@ survival copula, evaluated on its own since flipping C's table is not
 bit-exact.  Both routes gather from these n-D tables by per-axis
 ``take``s of the per-axis pairs lo <= hi, with no per-pair index
 vectors.  The oracle takes those pairs as a condition w and its join z
-with the target, in the order d gives them: a comparison depends on the
-target only through z, so each distinct (w, z, axis) is evaluated once
-and weighted by the number of targets that join w to z.  It reads F_d
-with the negative axes flipped, where a step along d raises every index,
-so one plan of per-axis vectors per lattice and block size serves all
-2^n directions.  It works in blocks of (w, z) pairs, so its memory is
-O(block + (g+1)^n), never g^n x g^n, and walks its lead axis so that a
-step's neighbour is a slab it has just computed.
+with the target: a step leaves z as it is, or steps it with w where the
+two share the stepped coordinate, so a comparison depends on the target
+only through z, and each distinct (w, z, axis) is evaluated once and
+weighted by the number of targets that join w to z.  It reads F_d with
+the negative axes flipped, where a step along d raises every index, so
+the same per-axis pairs serve all 2^n directions.  It works in blocks of
+(w, z) pairs, so its memory is O(block + (g+1)^n), never g^n x g^n.  It
+walks its lead axis one join j at a time, from the last, and the
+conditions of a join from the largest, so that a lead-axis step reads
+the next row of its block, the first row of the join's previous block,
+or, from the diagonal (j, j), the diagonal row (j+1, j+1) kept from the
+join before.
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: they evaluate
 F_d at single points as the signed sum of margins (``_orthant_array``),
@@ -56,9 +60,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,6 +94,12 @@ _DEFAULT_RESOLUTIONS = {2: 21, 3: 9, 4: 6, 5: 4}
 # numpy arrays have at most 64 axes (32 before numpy 2), so a larger dim
 # has no lattice table
 _MAX_DIM = 64
+
+# physical memory, which a scan's peak may not exceed
+_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# peak bytes of the inequality route per (u, u') pair: 34.0 to 34.9
+# under tracemalloc at (3,9), (3,15), (2,60) and (4,6)
+_PAIR_PEAK_BYTES = 35
 
 # (condition, join) pairs in one block of the oracle's conditionals;
 # larger blocks gain no speed and raise peak memory
@@ -226,7 +236,7 @@ def _flat(parts: Sequence[np.ndarray], g: int) -> np.ndarray:
 
 def _lattice(points: np.ndarray, n: int) -> np.ndarray:
     """Every combination of ``points`` on n axes, shape (m,)*n + (n,)."""
-    return points[np.stack(np.indices((points.size,) * n), axis=-1)]
+    return np.stack(np.meshgrid(*[points] * n, indexing="ij", copy=False), axis=-1)
 
 
 def _copula_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
@@ -383,60 +393,6 @@ def check_direction_inequality(
     return _pairwise_verdict(spec, d, grid, tol, notion, table)
 
 
-class _OraclePlan(NamedTuple):
-    """The oracle's index arithmetic on an oriented (g,)*n table.
-
-    Per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a]; in
-    the oriented table they are the same for every direction.  Axes
-    before ``lead`` take one pair per block, ``lead`` a run of pairs in
-    ``order`` and the axes after it every pair.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    nxt: np.ndarray  # the pair one step further, for all but the last, (g-1, g-1)
-    targets: np.ndarray  # the targets joining each pair's condition to its join
-    lead: int
-    run: int
-    # the lead axis's pairs by descending join, then condition, where a
-    # pair's step neighbour is the one before it or, for a diagonal pair,
-    # the diagonal pair before it; per position, that neighbour's position
-    # (-1 for the first, which has none) and the last diagonal's so far
-    order: np.ndarray
-    back: np.ndarray
-    diagonal: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _oracle_plan(g: int, n: int, block: int) -> _OraclePlan:
-    """The gather plan of every direction on the (g,)*n lattice, for
-    blocks of at most ``block`` (condition, join) pairs."""
-    lo, hi = np.triu_indices(g)
-    pairs = lo.size
-    pair = np.zeros((g, g), dtype=lo.dtype)
-    pair[lo, hi] = np.arange(pairs)
-    # the condition steps, and the join with it when the two are equal
-    nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
-    # the join itself, or any of the lo + 1 indices up to the condition
-    # when the two are equal
-    targets = np.where(lo == hi, lo + 1, 1)
-    lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= block)
-    tail = n - 1 - lead
-    order = np.lexsort((lo, hi))[::-1]
-    position = np.empty_like(order)
-    position[order] = np.arange(pairs)
-    back = np.append(-1, position[nxt[order[1:]]])
-    diagonal = np.maximum.accumulate(np.where(lo[order] == hi[order], np.arange(pairs), -1))
-    plan = _OraclePlan(
-        lo, hi, nxt, targets, lead, block // pairs**tail, order, back, diagonal
-    )
-    # every scan of the lattice shares these arrays
-    for part in plan:
-        if isinstance(part, np.ndarray):
-            part.setflags(write=False)
-    return plan
-
-
 def check_direction_oracle(
     spec: CopulaSpec,
     d: Direction,
@@ -459,17 +415,9 @@ def check_direction_oracle(
     copula table as ``scan_direction`` reads it.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
-    w in d's order.  The step leaves z as it is, or steps it with w where
-    the two share the stepped coordinate, so a comparison depends on v
-    only through z.  Each distinct (w, z, axis) is evaluated once, in
-    blocks of at most _BLOCK (w, z) pairs so that memory stays
-    O(_BLOCK + g^n), and counts once per target that joins w to z.  With
-    the negative axes of F_d flipped, a step along d raises every index,
-    so one gather plan (``_oracle_plan``) serves every direction of the
-    lattice, and a lead-axis step reads a slab already computed.  The
-    reported violation is the one with the smallest key
-    (p * g^n + q) * n + k, for flat target index p, flat index q of the
-    earlier condition and axis k, in the lattice's own coordinates.
+    w in d's order; each distinct (w, z, axis) is evaluated once, in
+    blocks of at most _BLOCK (w, z) pairs, and counts once per target
+    that joins w to z.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
@@ -485,9 +433,22 @@ def check_direction_oracle(
     # quotient can overflow a difference
     finite = bool(defined.all()) and bool(np.isfinite(2 * (table.max() / table.min())))
     total = table.size
-    plan = _oracle_plan(g, n, _BLOCK)
-    lo, hi, nxt, targets, lead = plan.lo, plan.hi, plan.nxt, plan.targets, plan.lead
-    pairs, tail = lo.size, n - 1 - lead
+    # per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a]
+    lo, hi = np.triu_indices(g)
+    pairs = lo.size
+    pair = np.zeros((g, g), dtype=lo.dtype)
+    pair[lo, hi] = np.arange(pairs)
+    # the condition steps, and the join with it when the two are equal; the
+    # last pair, (g-1, g-1), has no step
+    nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
+    # the join itself, or any of the lo + 1 indices up to the condition
+    # when the two are equal
+    targets = np.where(lo == hi, lo + 1, 1)
+    # axes before lead take one pair per block, lead a run of conditions
+    # of one join and the axes after it every pair
+    lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= _BLOCK)
+    tail = n - 1 - lead
+    run = _BLOCK // pairs**tail
     stride = [g ** (n - 1 - j) for j in range(n)]
     # the key of each pair: the lattice index of the smallest target that
     # joins its condition to its join, times g^n, plus the condition's
@@ -498,19 +459,16 @@ def check_direction_oracle(
         w, z = (lo, hi) if s > 0 else (g - 1 - lo, g - 1 - hi)
         keys.append(np.where(lo == hi, 0 if s > 0 else w, z) * total + w)
 
-    def quotient(head: tuple, b0: int, b1: int) -> np.ndarray:
-        # conditionals of a block: the pairs ``head`` before lead, the lead
-        # pairs at positions b0:b1 of plan.order and every pair after it;
-        # the head is a view, and the tail is taken from its last axis back
-        z, w = table[tuple(hi[a] for a in head)], den[tuple(lo[a] for a in head)]
-        run_ids = plan.order[b0:b1]
-        z, w = z.take(hi[run_ids], axis=0), w.take(lo[run_ids], axis=0)
+    def quotient(head: tuple, i0: int, i1: int, j: int) -> np.ndarray:
+        # conditionals of a block: the pairs ``head`` before lead, the
+        # conditions i0:i1 of join j on lead and every pair after it; the
+        # tail is taken from its last axis back
+        z = table[tuple(hi[a] for a in head) + (j,)]
+        w = den[tuple(lo[a] for a in head) + (slice(i0, i1),)]
         for k in range(tail, 0, -1):
-            z, w = z.take(hi, axis=k), w.take(lo, axis=k)
-        z /= w
-        return z.reshape((1,) * lead + z.shape)
+            z, w = z.take(hi, axis=k - 1), w.take(lo, axis=k)
+        return (z / w).reshape((1,) * lead + (i1 - i0,) + (pairs,) * tail)
 
-    every = [np.arange(pairs)] * tail
     # the targets of every pair of an axis, and of those with a step
     whole = int(targets.sum())
     stepped = whole - int(targets[-1])
@@ -535,7 +493,7 @@ def check_direction_oracle(
             count = prod(int(targets[a]) for a in head) * int(targets[run_ids].sum())
             count *= whole ** (tail - 1) * stepped if after else whole**tail
         else:
-            ids = [np.array([a]) for a in head] + [run_ids] + every
+            ids = [np.array([a]) for a in head] + [run_ids] + [np.arange(pairs)] * tail
             if after:
                 ids[k] = ids[k][:-1]
             weights = [targets[a] for a in ids]
@@ -559,38 +517,31 @@ def check_direction_oracle(
 
     at = (slice(None),) * lead
     for head in np.ndindex((pairs,) * lead):
-        # the last slab and the last diagonal slab of the lead axis so far,
-        # by position in plan.order
-        carried: dict[int, np.ndarray] = {}
-        for b0 in range(0, pairs, plan.run):
-            b1 = min(b0 + plan.run, pairs)
-            block = quotient(head, b0, b1)
-            for k, a in enumerate(head):
-                # a step before lead leaves the block: compute its neighbour
-                if a < len(nxt):
-                    rhs = quotient(head[:k] + (nxt[a],) + head[k + 1 :], b0, b1)
-                    compare(block, rhs, head, plan.order[b0:b1], k)
-            # the first position, the last pair, has no step
-            skip = int(b0 == 0)
-            back = plan.back[b0 + skip : b1]
-            if back.size:
-                outside = np.flatnonzero(back < b0)
-                if back.size == outside.size == 1:
-                    rhs = carried[int(back[0])]
+        # the diagonal row of the join before; the last join's has no step
+        diagonal_row = None
+        for j in range(g - 1, -1, -1):
+            # the row after the block's last, along lead
+            following = diagonal_row
+            for i1 in range(j + 1, 0, -run):
+                i0 = max(i1 - run, 0)
+                block, ids = quotient(head, i0, i1, j), pair[i0:i1, j]
+                for k, a in enumerate(head):
+                    # a step before lead leaves the block: compute its neighbour
+                    if a < len(nxt):
+                        rhs = quotient(head[:k] + (nxt[a],) + head[k + 1 :], i0, i1, j)
+                        compare(block, rhs, head, ids, k)
+                rhs = block[at + (slice(1, None),)]
+                if following is None:
+                    compare(block[at + (slice(-1),)], rhs, head, ids[:-1], lead)
                 else:
-                    rhs = block.take(np.maximum(back - b0, 0), axis=lead)
-                    for i in outside:
-                        rhs[at + (slice(i, i + 1),)] = carried[int(back[i])]
-                lhs = block[at + (slice(skip, None),)]
-                compare(lhs, rhs, head, plan.order[b0 + skip : b1], lead)
-            for k in range(lead + 1, n):
-                lhs = block[(slice(None),) * k + (slice(pairs - 1),)]
-                compare(lhs, block.take(nxt, axis=k), head, plan.order[b0:b1], k)
-            # copied, so that the rest of the block can be freed
-            carried = {
-                j: block[at + (slice(j - b0, j - b0 + 1),)].copy() if j >= b0 else carried[j]
-                for j in {b1 - 1, int(plan.diagonal[b1 - 1])}
-            }
+                    compare(block, np.concatenate([rhs, following], axis=lead), head, ids, lead)
+                for k in range(lead + 1, n):
+                    lhs = block[(slice(None),) * k + (slice(pairs - 1),)]
+                    compare(lhs, block.take(nxt, axis=k), head, ids, k)
+                # copied, so that the rest of the block can be freed
+                if i1 == j + 1:
+                    diagonal_row = block[at + (slice(-1, None),)].copy()
+                following = block[at + (slice(1),)].copy()
 
     if first is None:
         # no defined comparison at all would make a pass vacuous
@@ -716,15 +667,21 @@ def scan_all_directions(
     """Verdicts for every requested direction (default: all 2^n of them).
 
     A lattice that no table can hold is refused before anything is
-    allocated: more axes than an array has, or more bytes for the
-    coordinates of the copula table alone than the machine has memory.
+    allocated: more axes than an array has, more bytes at the peak of the
+    copula table's build than the machine has memory, or, when the
+    inequality route runs, more at the peak of its pair arrays.
     """
     validate(spec)
     g, n = grid.resolution, spec.dim
     if n > _MAX_DIM:
         raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
-    if (g + 1) ** n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    # building the copula table peaks at just over 4n + 3 floats per point
+    # for a survival-of family, the most measured, and n + 1 for product
+    if (g + 1) ** n * (4 * n + 4) * 8 > _MEMORY:
         raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
+    pairs = g * (g + 1) // 2
+    if method != METHOD_ORACLE and pairs**n * _PAIR_PEAK_BYTES > _MEMORY:
+        raise MemoryError(f"the {pairs}^{n} pairs of the inequality route do not fit in memory")
     chosen = iter_directions(n) if directions is None else directions
     _SCAN_TABLES[spec, grid] = _copula_table(spec, grid)
     try:

@@ -241,12 +241,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"dirmono: error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except MemoryError as exc:
         n, g = config.spec.dim, config.grid
         print(
             f"dirmono: error: not enough memory to scan the lattice of grid {g} "
-            f"in dim {n} (a copula table of {g + 1}^{n} points); try a smaller "
-            "--grid or --dim",
+            f"in dim {n} ({str(exc) or 'out of memory'}); try a smaller --grid or --dim",
             file=sys.stderr,
         )
         return 2

@@ -37,14 +37,6 @@ from dirmono.orthant import DEFAULT_EPS_DEN, _orthant_array
 from helpers import family_zoo
 
 
-@pytest.fixture
-def cold_plan():
-    """An empty gather-plan cache, so that a test builds and measures its own plan."""
-    checker._oracle_plan.cache_clear()
-    yield
-    checker._oracle_plan.cache_clear()
-
-
 def pass_set(verdicts):
     return {v.direction.signs for v in verdicts if v.outcome == PASS_AT_RESOLUTION}
 
@@ -549,15 +541,19 @@ class TestOracleMatchesScalar:
                 assert _summary(gathered) == scalar, (d.pretty(), notion)
 
     @pytest.mark.parametrize(
-        "block", [1, 7, 25, 150], ids=["one-row", "inside-last-axis", "inside-axis-1", "uneven"]
+        "block",
+        [1, 2, 7, 25, 150],
+        ids=["one-row", "chunks-of-two", "inside-last-axis", "inside-axis-1", "uneven"],
     )
     def test_block_size_does_not_change_verdicts(self, monkeypatch, block):
         # there are 15 (condition, join) pairs per axis at g = 5 and 6 at
-        # g = 3.  1 makes every block a single pair; 7 splits the last axis
-        # at n = 2 (runs of 7, 7, 1); 25 is below 6^2, so at n = 3 it takes
-        # one pair on axis 0 and runs of 4 and 2 on axis 1; 150 takes runs of
-        # 10 and 5 on axis 0 at n = 2 and of 4 and 2 at n = 3, so the last
-        # block is short
+        # g = 3, and join j has j + 1 conditions.  1 makes every block a
+        # single pair; 2 splits the joins of the last axis into uneven
+        # chunks of 2 and 1 at n = 2 and n = 3; 7 takes a whole join of the
+        # last axis at n = 2, and one condition on axis 1 with every pair of
+        # axis 2 at n = 3; 25 takes one condition on axis 0 at n = 2, and
+        # being below 6^2, one pair on axis 0 and a whole join on axis 1 at
+        # n = 3; 150 takes a whole join on axis 0 at n = 2 and n = 3
         cases = [
             (CopulaSpec("fgm", 2, {"lambda": 0.5}), GridSpec(5)),
             (CopulaSpec("w", 2), GridSpec(5)),
@@ -592,7 +588,7 @@ class TestOracleMatchesScalar:
                 gathered = check_direction_oracle(spec, d, GridSpec(g), tol=tol, notion=notion)
                 assert _summary(gathered) == scalar, (d.pretty(), notion)
 
-    def test_memory_stays_within_blocks(self, cold_plan):
+    def test_memory_stays_within_blocks(self):
         # the dense g^n x g^n matrices of a direct evaluation would take
         # over 40 MiB here (g^n = 1600)
         spec = CopulaSpec("amh", 2, {"delta": 0.5})
@@ -604,7 +600,7 @@ class TestOracleMatchesScalar:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_memory_stays_within_blocks_in_five_dims(self, cold_plan):
+    def test_memory_stays_within_blocks_in_five_dims(self):
         # fgm (5,6) has 21^5 ~ 4.1M (condition, join) pairs; blocks of one
         # pair on axis 0 and all the rest would hold 21^4 per array
         spec = CopulaSpec("fgm", 5, {"lambda": 0.5})
@@ -623,20 +619,17 @@ class TestOracleMatchesScalar:
         data=st.data(),
         notion=st.sampled_from(list(Notion)),
         eps_den=st.sampled_from([1e-12, 0.05, 0.3]),
-        block=st.sampled_from([1, 7, checker._BLOCK]),
+        block=st.sampled_from([1, 2, 7, checker._BLOCK]),
     )
     def test_matches_scalar_for_drawn_settings(self, spec, g, data, notion, eps_den, block):
         d = data.draw(st.sampled_from(all_directions(spec.dim)), label="direction")
         scalar = _scalar_oracle_scan(spec, d, g, eps_den)[notion]
-        # a fixture would clear the plan cache once per test, not per example
-        checker._oracle_plan.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(checker, "_BLOCK", block)
             gathered = check_direction_oracle(spec, d, GridSpec(g), eps_den=eps_den, notion=notion)
         assert _summary(gathered) == scalar
 
-    def test_plan_follows_the_block_size(self, cold_plan, monkeypatch):
-        # a plan cached for the default block must not serve a smaller one:
+    def test_memory_follows_the_block_size(self, monkeypatch):
         # fgm (3,6) has 21^3 = 9261 (condition, join) pairs in one default
         # block, about 380 KiB of arrays at peak, and 21 in a block of 25
         spec, grid = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(6)
@@ -651,12 +644,6 @@ class TestOracleMatchesScalar:
             tracemalloc.stop()
         assert small == default and default.outcome == REFUTED
         assert peak < 96 * 2**10
-
-    def test_cached_plan_holds_per_axis_vectors_only(self, cold_plan):
-        # flat table offsets of every combination of the two tail axes'
-        # 120 pairs took about 230 KiB here
-        plan = checker._oracle_plan(15, 3, checker._BLOCK)
-        assert sum(p.nbytes for p in plan if isinstance(p, np.ndarray)) < 16 * 2**10
 
 
 class TestInequalityMemory:
