@@ -13,12 +13,13 @@ direction, both restricted to a finite interior lattice:
   the conditioning point takes one grid step along that axis.
 
 Every point either route touches is a lattice point, and F_d is a signed
-sum of margins of C, which are C with some coordinates pinned to 1.  So a
-scan evaluates C once, on the lattice with 1.0 appended to every axis
-(``_copula_table``), and reads each direction's F_d, shape (g,)*n, off it
-by slicing; the pure single-swap form reads the raw copula slice or the
-survival copula, evaluated on its own since flipping C's table is not
-bit-exact.  Both routes gather from these n-D tables by per-axis
+sum of margins of C, which are C with some coordinates pinned to 1.  So
+``scan_all_directions`` evaluates C once, on the lattice with 1.0
+appended to every axis (``_copula_table``), and hands that table to
+``scan_direction``, which reads each direction's F_d, shape (g,)*n, off
+it by slicing and runs the routes on it; the pure single-swap form reads
+the raw copula slice or the survival copula, evaluated on its own since
+flipping C's table is not bit-exact.  Both routes gather from these n-D tables by per-axis
 ``take``s of the per-axis pairs lo <= hi, with no per-pair index
 vectors.  The oracle takes those pairs as a condition w and its join z
 with the target: a step leaves z as it is, or steps it with w where the
@@ -44,8 +45,7 @@ A direction that survives every check at a given resolution is reported
 as a pass at that resolution, never as proved; an oracle scan left with
 no defined comparison is unsupported, not a pass.  Pure directions in
 dimension >= 4 have no supported inequality form and are routed to the
-oracle; a single-coordinate-swap variant can be computed behind an
-explicit conjectural flag but never contributes to official verdicts.
+oracle.
 
 Scans evaluate every pair (no short-circuit) so that slack statistics
 are always complete; the reported counterexample is the first violation
@@ -62,6 +62,7 @@ import os
 from dataclasses import dataclass, replace
 from functools import reduce
 from math import prod
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -117,6 +118,8 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, Integral):
+            raise ValueError(f"grid resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 2:
             raise ValueError(f"grid resolution must be >= 2, got {self.resolution}")
 
@@ -158,9 +161,7 @@ class DirectionVerdict:
     ``method`` names the route that produced the official outcome; when a
     combined run has both routes available, it is "both" and the two
     sub-outcomes plus their agreement are recorded.  ``max_slack`` is the
-    largest lhs - rhs seen over all comparisons (<= tol on a pass);
-    ``conjectural_outcome`` is only filled for pure directions in dim >= 4
-    when the conjectural single-swap inequality was explicitly requested.
+    largest lhs - rhs seen over all comparisons (<= tol on a pass).
     """
 
     direction: Direction
@@ -172,7 +173,6 @@ class DirectionVerdict:
     inequality_outcome: str | None = None
     oracle_outcome: str | None = None
     methods_agree: bool | None = None
-    conjectural_outcome: str | None = None
 
 
 def check_pair(
@@ -245,6 +245,7 @@ def _copula_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
     Reading an axis at index g pins its coordinate to 1, so every margin
     of C on the lattice is a slice of this table.
     """
+    validate(spec)
     n = spec.dim
     table = _cdf_array(spec, _lattice(np.append(grid.points(), 1.0), n))
     # the empty margin is 1, as _pinned_cdf takes it, whatever C(1, ..., 1)
@@ -289,36 +290,39 @@ def _read_tables(ctable: np.ndarray, d: Direction) -> tuple[np.ndarray, np.ndarr
     return table, ctable[(slice(g),) * n] if d.signs[0] < 0 else None
 
 
-# the copula table of each scan_all_directions call in progress, which its
-# directions share; it is dropped when the call returns
-_SCAN_TABLES: dict[tuple[CopulaSpec, GridSpec], np.ndarray] = {}
-
-
 def _point(grid: GridSpec, n: int, flat: int) -> tuple[float, ...]:
     """The lattice point with flat (row-major) index ``flat``."""
     return tuple(grid.points()[list(np.unravel_index(flat, (grid.resolution,) * n))])
 
 
-def _pairwise_verdict(
+def check_direction_inequality(
     spec: CopulaSpec,
     d: Direction,
     grid: GridSpec,
-    tol: float,
-    notion: Notion,
+    tol: float = DEFAULT_TOL,
+    notion: Notion = Notion.INCREASING,
+    *,
     table: np.ndarray | None = None,
 ) -> DirectionVerdict:
-    """Pairwise inequality gathered from one lattice table of the direction.
+    """Scan every ordered grid pair with the pairwise inequality.
 
     Mixed directions swap the negative-axis coordinates of u and u' and
-    read F_d; pure ones swap axis 0 and read the copula (all-negative) or
-    survival copula (all-positive).  ``table`` is that table on the
-    lattice; when not given, it is read off the copula table as a scan
-    reads it, and the survival copula is evaluated here.
+    read F_d; pure ones in dims 2 and 3 swap axis 0 and read the copula
+    (all-negative) or survival copula (all-positive).  Pure directions in
+    dim >= 4 come back as unsupported; route those to the oracle.
+    ``table`` is that table on the lattice; when not given, it is read
+    off the copula table as ``scan_direction`` reads it, and the survival
+    copula is evaluated here.
     """
+    if d.dim != spec.dim:
+        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
+    if d.is_pure and spec.dim > 3:
+        return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
     if table is None and not (d.is_pure and d.signs[0] > 0):
         table = _read_tables(_copula_table(spec, grid), d)[1]
     if table is None:
+        validate(spec)
         table = _survival_array(spec, _lattice(grid.points(), n))
     table = table.reshape((g,) * n)
     # per axis, every ordered pair lo <= hi of lattice indices
@@ -368,29 +372,6 @@ def _pairwise_verdict(
         kind="pair",
     )
     return DirectionVerdict(d, METHOD_INEQUALITY, REFUTED, slack.size, max_slack, cex)
-
-
-def check_direction_inequality(
-    spec: CopulaSpec,
-    d: Direction,
-    grid: GridSpec,
-    tol: float = DEFAULT_TOL,
-    notion: Notion = Notion.INCREASING,
-    *,
-    table: np.ndarray | None = None,
-) -> DirectionVerdict:
-    """Scan every ordered grid pair with the pairwise inequality.
-
-    Pure directions in dim >= 4 come back as unsupported; route those to
-    the oracle.  ``table`` is the lattice table the direction's form
-    reads: F_d for a mixed direction, the copula or survival copula for a
-    pure one.  It is evaluated here when not given.
-    """
-    if d.dim != spec.dim:
-        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
-    if d.is_pure and spec.dim > 3:
-        return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
-    return _pairwise_verdict(spec, d, grid, tol, notion, table)
 
 
 def check_direction_oracle(
@@ -575,77 +556,57 @@ def scan_direction(
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
     notion: Notion = Notion.INCREASING,
-    allow_conjectural_pure: bool = False,
+    *,
+    ctable: np.ndarray | None = None,
 ) -> DirectionVerdict:
     """One direction, one combined verdict.
 
-    With method "both" the two routes must agree wherever both are
-    supported; on disagreement the oracle's outcome is reported with
-    ``methods_agree`` set to False (callers treat that as an internal
-    defect, not a property of the copula).  A reported counterexample
-    that does not re-verify through the scalar path
-    (``recheck_counterexample``) sets ``methods_agree`` to False too.
+    Runs the routes ``method`` names.  With method "both" the two routes
+    must agree wherever both are supported; on disagreement the oracle's
+    outcome is reported with ``methods_agree`` set to False (callers
+    treat that as an internal defect, not a property of the copula).  A
+    reported counterexample that does not re-verify through the scalar
+    path (``recheck_counterexample``) sets ``methods_agree`` to False too.
 
-    Both routes read their tables off the copula table of the spec and
-    lattice (``_copula_table``).  Every direction of a
-    ``scan_all_directions`` call shares that call's table; a direct call
-    evaluates its own and frees it when it returns.
+    Both routes read their tables off ``ctable``, the copula table of the
+    spec and lattice (``_copula_table``), which ``scan_all_directions``
+    builds once for all its directions; it is built here when not given.
     """
     if d.dim != spec.dim:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
-    n = spec.dim
-    ctable = _SCAN_TABLES.get((spec, grid))
+    if method not in (METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH):
+        raise ValueError(f"unknown method {method!r}")
     if ctable is None:
         ctable = _copula_table(spec, grid)
     table, pairwise = _read_tables(ctable, d)
-
-    conjectural: str | None = None
-    needs_conjectural = (
-        allow_conjectural_pure
-        and d.is_pure
-        and n > 3
-        and method != METHOD_ORACLE
+    ineq = orac = None
+    if method != METHOD_ORACLE:
+        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
+    if method != METHOD_INEQUALITY:
+        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
+    outcomes = dict(
+        inequality_outcome=ineq.outcome if ineq else None,
+        oracle_outcome=orac.outcome if orac else None,
     )
-    if needs_conjectural:
-        conjectural = _pairwise_verdict(spec, d, grid, tol, notion, pairwise).outcome
-
-    if method == METHOD_INEQUALITY:
-        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
-        verdict = replace(
-            ineq, inequality_outcome=ineq.outcome, conjectural_outcome=conjectural
-        )
-    elif method == METHOD_ORACLE:
-        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
-        verdict = replace(orac, oracle_outcome=orac.outcome)
-    elif method == METHOD_BOTH:
-        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
-        orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
-        outcomes = dict(
-            inequality_outcome=ineq.outcome,
-            oracle_outcome=orac.outcome,
-            conjectural_outcome=conjectural,
-        )
-        # a route that could not decide defers to the other
-        if ineq.outcome == UNSUPPORTED:
-            verdict = replace(orac, **outcomes)
-        elif orac.outcome == UNSUPPORTED:
-            verdict = replace(ineq, **outcomes)
-        else:
-            agree = ineq.outcome == orac.outcome
-            outcome = ineq.outcome if agree else orac.outcome
-            cex = ineq.counterexample or orac.counterexample
-            verdict = DirectionVerdict(
-                d,
-                METHOD_BOTH,
-                outcome,
-                ineq.pairs_tested + orac.pairs_tested,
-                max(ineq.max_slack, orac.max_slack),
-                None if outcome == PASS_AT_RESOLUTION else cex,
-                methods_agree=agree,
-                **outcomes,
-            )
+    # a route that did not run or could not decide defers to the other
+    if ineq is None or (ineq.outcome == UNSUPPORTED and orac is not None):
+        verdict = replace(orac, **outcomes)
+    elif orac is None or orac.outcome == UNSUPPORTED:
+        verdict = replace(ineq, **outcomes)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        agree = ineq.outcome == orac.outcome
+        outcome = ineq.outcome if agree else orac.outcome
+        cex = ineq.counterexample or orac.counterexample
+        verdict = DirectionVerdict(
+            d,
+            METHOD_BOTH,
+            outcome,
+            ineq.pairs_tested + orac.pairs_tested,
+            max(ineq.max_slack, orac.max_slack),
+            None if outcome == PASS_AT_RESOLUTION else cex,
+            methods_agree=agree,
+            **outcomes,
+        )
 
     cex = verdict.counterexample
     if cex is not None and not recheck_counterexample(spec, cex, tol, eps_den, notion):
@@ -661,7 +622,6 @@ def scan_all_directions(
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
     notion: Notion = Notion.INCREASING,
-    allow_conjectural_pure: bool = False,
     directions: Sequence[Direction] | None = None,
 ) -> list[DirectionVerdict]:
     """Verdicts for every requested direction (default: all 2^n of them).
@@ -669,7 +629,8 @@ def scan_all_directions(
     A lattice that no table can hold is refused before anything is
     allocated: more axes than an array has, more bytes at the peak of the
     copula table's build than the machine has memory, or, when the
-    inequality route runs, more at the peak of its pair arrays.
+    inequality route runs, more at the peak of its pair arrays.  The
+    copula table is built once and handed to every direction.
     """
     validate(spec)
     g, n = grid.resolution, spec.dim
@@ -683,16 +644,11 @@ def scan_all_directions(
     if method != METHOD_ORACLE and pairs**n * _PAIR_PEAK_BYTES > _MEMORY:
         raise MemoryError(f"the {pairs}^{n} pairs of the inequality route do not fit in memory")
     chosen = iter_directions(n) if directions is None else directions
-    _SCAN_TABLES[spec, grid] = _copula_table(spec, grid)
-    try:
-        return [
-            scan_direction(
-                spec, d, grid, method, tol, eps_den, notion, allow_conjectural_pure
-            )
-            for d in chosen
-        ]
-    finally:
-        _SCAN_TABLES.pop((spec, grid), None)
+    ctable = _copula_table(spec, grid)
+    return [
+        scan_direction(spec, d, grid, method, tol, eps_den, notion, ctable=ctable)
+        for d in chosen
+    ]
 
 
 def recheck_counterexample(

@@ -31,7 +31,7 @@ from .orthant import DEFAULT_EPS_DEN
 from .report import RunConfig, ScanReport, exit_code, format_report
 
 _DEFAULTS = {"all_directions": False, "method": "both", "notion": "I", "tol": 1e-9,
-             "eps_den": DEFAULT_EPS_DEN, "format": "text", "allow_conjectural_pure": False}
+             "eps_den": DEFAULT_EPS_DEN, "format": "text"}
 
 # the json types a config value may have, by the name of its flag's type;
 # a flag without a type takes a string
@@ -94,10 +94,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
         ),
         check.add_argument("--format", choices=["text", "json", "csv"]),
         check.add_argument("--out", help="output path (default stdout)"),
-        check.add_argument(
-            "--allow-conjectural-pure", action="store_true",
-            help="also compute the unproven single-swap inequality for pure directions in dim >= 4",
-        ),
     ]
     check.add_argument("--config", help="json config file; flags override its values")
     return parser, {action.dest: action for action in settings}
@@ -190,7 +186,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         eps_den=settings["eps_den"],
         fmt=settings["format"],
         out=settings.get("out"),
-        allow_conjectural_pure=settings["allow_conjectural_pure"],
     )
 
 
@@ -204,7 +199,6 @@ def run(config: RunConfig) -> int:
         tol=config.tol,
         eps_den=config.eps_den,
         notion=config.notion,
-        allow_conjectural_pure=config.allow_conjectural_pure,
         directions=config.directions,
     )
     elapsed = time.perf_counter() - start

@@ -40,7 +40,6 @@ class RunConfig:
     eps_den: float
     fmt: str = "text"
     out: str | None = None
-    allow_conjectural_pure: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ def _verdict_to_dict(v: DirectionVerdict) -> dict[str, Any]:
         "inequality_outcome": v.inequality_outcome,
         "oracle_outcome": v.oracle_outcome,
         "methods_agree": v.methods_agree,
-        "conjectural_outcome": v.conjectural_outcome,
     }
 
 
@@ -147,7 +145,6 @@ def _verdict_from_dict(data: dict[str, Any]) -> DirectionVerdict:
         inequality_outcome=data.get("inequality_outcome"),
         oracle_outcome=data.get("oracle_outcome"),
         methods_agree=data.get("methods_agree"),
-        conjectural_outcome=data.get("conjectural_outcome"),
     )
 
 
@@ -165,7 +162,6 @@ def _config_to_dict(cfg: RunConfig) -> dict[str, Any]:
         "eps_den": float(cfg.eps_den),
         "format": cfg.fmt,
         "out": cfg.out,
-        "allow_conjectural_pure": cfg.allow_conjectural_pure,
     }
 
 
@@ -185,7 +181,6 @@ def _config_from_dict(data: dict[str, Any]) -> RunConfig:
         eps_den=float(data["eps_den"]),
         fmt=data.get("format", "text"),
         out=data.get("out"),
-        allow_conjectural_pure=bool(data.get("allow_conjectural_pure", False)),
     )
 
 
@@ -260,8 +255,6 @@ def format_text(report: ScanReport) -> str:
             if cex.target is not None:
                 detail += f" target={_point(cex.target)} axis={cex.axis + 1}"
             lines.append(detail)
-        if v.conjectural_outcome is not None:
-            lines.append(f"    conjectural single-swap inequality: {v.conjectural_outcome}")
     if report.disagreements:
         lines.append("# METHOD DISAGREEMENT on: " + ", ".join(report.disagreements))
     lines.append(f"# elapsed: {report.elapsed_seconds:.3f} s")
@@ -277,7 +270,6 @@ _CSV_FIELDS = [
     "inequality_outcome",
     "oracle_outcome",
     "methods_agree",
-    "conjectural_outcome",
     "cex_kind",
     "cex_u_low",
     "cex_u_high",

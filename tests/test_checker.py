@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -14,12 +16,12 @@ from dirmono import (
     METHOD_INEQUALITY,
     METHOD_ORACLE,
     Notion,
+    ParameterError,
     PASS_AT_RESOLUTION,
     REFUTED,
     UNSUPPORTED,
     UnsupportedDirectionError,
     all_directions,
-    cdf,
     check_direction_inequality,
     check_direction_oracle,
     check_pair,
@@ -29,10 +31,9 @@ from dirmono import (
     recheck_counterexample,
     scan_all_directions,
     scan_direction,
-    survival_cdf,
 )
 from dirmono import checker, families
-from dirmono.checker import DEFAULT_TOL, Counterexample, _pairwise_verdict
+from dirmono.checker import DEFAULT_TOL, Counterexample
 from dirmono.orthant import DEFAULT_EPS_DEN, _orthant_array
 from helpers import family_zoo
 
@@ -57,6 +58,14 @@ class TestGridSpec:
     def test_minimum_resolution(self):
         with pytest.raises(ValueError):
             GridSpec(1)
+
+    @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(resolution)
+
+    def test_numpy_integer_resolution(self):
+        assert GridSpec(np.int64(3)).points().tolist() == GridSpec(3).points().tolist()
 
     def test_default_resolutions(self):
         assert GridSpec.default_resolution(2) == 21
@@ -267,17 +276,47 @@ class TestScans:
         assert sum(tables.values()) == len(verdicts) == 16
         assert lattices == [(5, 5, 5, 5, 4)]
 
-    def test_no_copula_table_outlives_its_scan(self):
+    def test_no_copula_table_outlives_its_scan(self, monkeypatch):
         # a table of (g+1)^n points must not stay allocated once the
         # scan, or a direct call of one direction, has returned
+        build, tables = checker._copula_table, []
+
+        def tracked(spec, grid):
+            table = build(spec, grid)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(checker, "_copula_table", tracked)
         spec, grid = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(4)
         scan_all_directions(spec, grid)
-        assert checker._SCAN_TABLES == {}
         scan_direction(spec, make_direction([1, -1, 1]), grid)
-        assert checker._SCAN_TABLES == {}
         with pytest.raises(DimensionError):
             scan_all_directions(spec, grid, directions=[make_direction([1, -1])])
-        assert checker._SCAN_TABLES == {}
+        gc.collect()
+        assert len(tables) == 3
+        assert [ref() for ref in tables] == [None] * 3
+
+    @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH])
+    def test_handed_table_gives_the_verdict_of_a_direct_call(self, method):
+        spec, grid = CopulaSpec("fgm", 3, {"lambda": -0.5}), GridSpec(5)
+        ctable = checker._copula_table(spec, grid)
+        for d in all_directions(3):
+            handed = scan_direction(spec, d, grid, method, ctable=ctable)
+            assert handed == scan_direction(spec, d, grid, method), d.pretty()
+
+    def test_unknown_method_is_refused_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(checker, "_copula_table", None)
+        spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        with pytest.raises(ValueError, match="unknown method"):
+            scan_direction(spec, make_direction([1, -1]), GridSpec(3), method="neither")
+
+    @pytest.mark.parametrize("params", [{"lambda": 5.0}, {}], ids=["lambda-5", "no-lambda"])
+    @pytest.mark.parametrize("signs", [[1, -1], [1, 1]], ids=["mixed", "all-positive"])
+    def test_direct_calls_validate_the_spec(self, params, signs):
+        spec, d, grid = CopulaSpec("fgm", 2, params), make_direction(signs), GridSpec(5)
+        for check in (scan_direction, check_direction_inequality, check_direction_oracle):
+            with pytest.raises(ParameterError):
+                check(spec, d, grid)
 
     def test_both_on_pure_dim_four_routes_to_oracle(self):
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
@@ -286,17 +325,6 @@ class TestScans:
         assert v.inequality_outcome == UNSUPPORTED
         assert v.outcome == PASS_AT_RESOLUTION
         assert v.methods_agree is None
-
-    def test_conjectural_flag_records_side_outcome_only(self):
-        spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
-        d = make_direction([1] * 4)
-        v = scan_direction(
-            spec, d, GridSpec(4), method=METHOD_BOTH, allow_conjectural_pure=True
-        )
-        assert v.conjectural_outcome == PASS_AT_RESOLUTION
-        assert v.method == METHOD_ORACLE
-        plain = scan_direction(spec, d, GridSpec(4), method=METHOD_BOTH)
-        assert plain.conjectural_outcome is None
 
 
 class TestSoundnessAndStability:
@@ -435,25 +463,6 @@ class TestGatheredMatchesScalar:
                 return check_pair(spec, d, u, up, tol=-np.inf)
             gathered = check_direction_inequality(spec, d, GridSpec(3))
             assert _summary(gathered) == _scalar_pair_scan(spec, d, 3, pair_check), d.pretty()
-
-    @pytest.mark.parametrize(
-        "spec", [s for s in family_zoo() if s.dim == 4], ids=lambda s: s.describe()
-    )
-    def test_conjectural_single_swap_dim_four(self, spec):
-        grid = GridSpec(2)
-        for sign in (1, -1):
-            d = make_direction([sign] * 4)
-            evaluate = cdf if sign < 0 else survival_cdf
-
-            def pair_check(u, up):
-                lo = np.concatenate([up[:1], u[1:]])
-                hi = np.concatenate([u[:1], up[1:]])
-                lhs = evaluate(spec, lo) * evaluate(spec, hi)
-                rhs = evaluate(spec, u) * evaluate(spec, up)
-                return Counterexample(d, tuple(u), tuple(up), lhs, rhs, lhs - rhs)
-
-            gathered = _pairwise_verdict(spec, d, grid, DEFAULT_TOL, Notion.INCREASING)
-            assert _summary(gathered) == _scalar_pair_scan(spec, d, 2, pair_check)
 
 
 class TestVacuousOracle:

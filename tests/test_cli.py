@@ -209,6 +209,21 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="lamda"):
             parse_config(["check", "--config", str(cfg_file)])
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_conjectural_pure_setting_is_gone(self, tmp_path, capsys, how):
+        argv = ["check", "--family", "fgm", "--dim", "4", "--lambda", "0.5", "--grid", "2"]
+        if how == "flag":
+            argv.append("--allow-conjectural-pure")
+        else:
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({"allow_conjectural_pure": True}))
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("dirmono: error:") and "conjectural" in line
+
 
 class TestExitCodes:
     def test_pass_run(self):
@@ -372,6 +387,18 @@ class TestReportFormats:
         assert data["config"]["family"]["family"] == "fgm"
         report = report_from_json(out.read_text())
         assert report_from_json(report_to_json(report)) == report
+
+    def test_reads_reports_with_the_conjectural_keys(self, tmp_path):
+        out = tmp_path / "report.json"
+        main(["check", "--family", "fgm", "--dim", "4", "--lambda", "0.5", "--grid", "2",
+              "--format", "json", "--out", str(out)])
+        data = json.loads(out.read_text())
+        # schema-1 reports of earlier versions carry both keys
+        data["config"]["allow_conjectural_pure"] = True
+        for verdict in data["verdicts"]:
+            verdict["conjectural_outcome"] = "pass_at_resolution" if verdict["direction"] in (
+                "+,+,+,+", "-,-,-,-") else None
+        assert report_from_json(json.dumps(data)) == report_from_json(out.read_text())
 
     def test_json_determinism_modulo_timing(self, tmp_path):
         args = (
