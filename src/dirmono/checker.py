@@ -19,13 +19,14 @@ appended to every axis (``_copula_table``), and hands that table to
 ``scan_direction``, which reads each direction's F_d, shape (g,)*n, off
 it by slicing and runs the routes on it; the pure single-swap form reads
 the raw copula slice or the survival copula, evaluated on its own since
-flipping C's table is not bit-exact.  Both routes gather from these n-D tables by per-axis
-``take``s of the per-axis pairs lo <= hi, with no per-pair index
-vectors.  The oracle takes those pairs as a condition w and its join z
-with the target: a step leaves z as it is, or steps it with w where the
-two share the stepped coordinate, so a comparison depends on the target
-only through z, and each distinct (w, z, axis) is evaluated once and
-weighted by the number of targets that join w to z.  It reads F_d with
+flipping C's table is not bit-exact.  Both routes gather from these n-D
+tables by per-axis ``take``s of the per-axis pairs lo <= hi, with no
+per-pair index vectors.  The oracle takes those pairs as a condition w
+and its join z with the target: a step leaves z as it is, or steps it
+with w where the two share the stepped coordinate, so a comparison
+depends on the target only through z, and each distinct (w, z, axis) is
+evaluated once; its count is taken once per direction, off the mask of
+defined conditions, before any is evaluated.  It reads F_d with
 the negative axes flipped, where a step along d raises every index, so
 the same per-axis pairs serve all 2^n directions.  It works in blocks of
 (w, z) pairs, so its memory is O(block + (g+1)^n), never g^n x g^n.  It
@@ -57,28 +58,18 @@ parallel execution strategy.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, replace
-from functools import reduce
-from math import prod
 from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DimensionError,
-    Direction,
-    Notion,
-    iter_directions,
+from .core import DimensionError, Direction, Notion, iter_directions
+from .families import (
+    CopulaSpec, _cdf_array, _signed_sum, _survival_array, cdf, survival_cdf, validate
 )
-from .families import CopulaSpec, _cdf_array, _survival_array, cdf, survival_cdf, validate
-from .orthant import (
-    DEFAULT_EPS_DEN,
-    _orthant_array,
-    conditional_prob,
-)
+from .orthant import DEFAULT_EPS_DEN, _orthant_array, conditional_prob
 
 DEFAULT_TOL = 1e-9
 
@@ -89,6 +80,11 @@ UNSUPPORTED = "unsupported"
 METHOD_INEQUALITY = "inequality"
 METHOD_ORACLE = "oracle"
 METHOD_BOTH = "both"
+METHODS = (METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH)
+
+# the smallest normal double: with F_d at most about 1, every defined
+# quotient of the oracle, and every difference of two, is then finite
+MIN_EPS_DEN = float(np.finfo(float).tiny)
 
 _DEFAULT_RESOLUTIONS = {2: 21, 3: 9, 4: 6, 5: 4}
 
@@ -175,6 +171,18 @@ class DirectionVerdict:
     methods_agree: bool | None = None
 
 
+def _check_direction(spec: CopulaSpec, d: Direction) -> None:
+    if d.dim != spec.dim:
+        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
+
+
+def _check_settings(method: str, eps_den: float) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if not eps_den >= MIN_EPS_DEN:
+        raise ValueError(f"eps_den must be at least {MIN_EPS_DEN!r}, got {eps_den!r}")
+
+
 def check_pair(
     spec: CopulaSpec,
     d: Direction,
@@ -256,22 +264,14 @@ def _copula_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
 
 
 def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
-    """F_d on the (g,)*n lattice, read off the copula table.
-
-    The same sum as ``_signed_sum``, in the same order: over subsets S of
-    the positive axes, (-1)**|S| times C with the positive axes outside S
-    pinned to 1.
-    """
+    """F_d on the (g,)*n lattice: the signed sum of ``_orthant_array``,
+    with each margin a slice of the copula table."""
     g, n = ctable.shape[0] - 1, ctable.ndim
-    total = np.zeros((g,) * n)
-    for size in range(len(d.pos_idx) + 1):
-        sign = -1.0 if size % 2 else 1.0
-        for subset in itertools.combinations(d.pos_idx, size):
-            pinned = set(d.pos_idx) - set(subset)
-            total = total + sign * ctable[
-                tuple(slice(g, None) if k in pinned else slice(g) for k in range(n))
-            ]
-    return total
+
+    def margin(selected: tuple[int, ...]) -> np.ndarray:
+        return ctable[tuple(slice(g) if k in selected else slice(g, None) for k in range(n))]
+
+    return _signed_sum(margin, d.neg_idx, d.pos_idx, (g,) * n)
 
 
 def _read_tables(ctable: np.ndarray, d: Direction) -> tuple[np.ndarray, np.ndarray | None]:
@@ -314,8 +314,7 @@ def check_direction_inequality(
     off the copula table as ``scan_direction`` reads it, and the survival
     copula is evaluated here.
     """
-    if d.dim != spec.dim:
-        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
+    _check_direction(spec, d)
     if d.is_pure and spec.dim > 3:
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
@@ -392,16 +391,18 @@ def check_direction_oracle(
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
     skipped; a direction left with no comparison is unsupported.
-    ``table`` is F_d on the lattice; when not given, it is read off the
-    copula table as ``scan_direction`` reads it.
+    ``eps_den`` is at least ``MIN_EPS_DEN``.  ``table`` is F_d on the
+    lattice; when not given, it is read off the copula table as
+    ``scan_direction`` reads it.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
     w in d's order; each distinct (w, z, axis) is evaluated once, in
-    blocks of at most _BLOCK (w, z) pairs, and counts once per target
-    that joins w to z.
+    blocks of at most _BLOCK (w, z) pairs.  ``pairs_tested`` counts every
+    target, paired with every defined condition that steps to a defined
+    condition, along every axis; it is counted before the walk.
     """
-    if d.dim != spec.dim:
-        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
+    _check_direction(spec, d)
+    _check_settings(METHOD_ORACLE, eps_den)
     g, n = grid.resolution, spec.dim
     if table is None:
         table = _orthant_table(_copula_table(spec, grid), d)
@@ -409,11 +410,16 @@ def check_direction_oracle(
     flip = tuple(slice(None, None, s) for s in d.signs)
     table = np.ascontiguousarray(table.reshape((g,) * n)[flip])
     defined = table >= eps_den
-    den = np.where(defined, table, np.nan)
-    # every slack is finite when every denominator is defined and no
-    # quotient can overflow a difference
-    finite = bool(defined.all()) and bool(np.isfinite(2 * (table.max() / table.min())))
     total = table.size
+    # each defined condition that steps to a defined one stands for every target
+    steps = (np.moveaxis(defined, k, 0) for k in range(n))
+    comparisons = total * sum(int(np.count_nonzero(m[:-1] & m[1:])) for m in steps)
+    if not comparisons:
+        # no defined comparison at all would make a pass vacuous
+        return DirectionVerdict(d, METHOD_ORACLE, UNSUPPORTED, 0, None, None)
+    # an undefined conditional is nan, and so is every slack it touches
+    some_undefined = not defined.all()
+    den = np.where(defined, table, np.nan)
     # per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a]
     lo, hi = np.triu_indices(g)
     pairs = lo.size
@@ -422,9 +428,6 @@ def check_direction_oracle(
     # the condition steps, and the join with it when the two are equal; the
     # last pair, (g-1, g-1), has no step
     nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
-    # the join itself, or any of the lo + 1 indices up to the condition
-    # when the two are equal
-    targets = np.where(lo == hi, lo + 1, 1)
     # axes before lead take one pair per block, lead a run of conditions
     # of one join and the axes after it every pair
     lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= _BLOCK)
@@ -450,43 +453,25 @@ def check_direction_oracle(
             z, w = z.take(hi, axis=k - 1), w.take(lo, axis=k)
         return (z / w).reshape((1,) * lead + (i1 - i0,) + (pairs,) * tail)
 
-    # the targets of every pair of an axis, and of those with a step
-    whole = int(targets.sum())
-    stepped = whole - int(targets[-1])
     # the keys of every combination of pairs on the axes after lead
     tail_key = np.asarray(_flat(keys[lead + 1 :], g))
-    comparisons = 0
-    max_slack: float | None = None
+    max_slack = -np.inf
     first: tuple[int, float, float] | None = None
 
     def compare(lhs: np.ndarray, rhs: np.ndarray, head: tuple, run_ids: np.ndarray, k: int):
         # lhs against rhs, stepped on axis k, for the pairs ``head`` before
         # lead, ``run_ids`` on lead and every pair with a step after it
-        nonlocal comparisons, max_slack, first
+        nonlocal max_slack, first
         if notion is Notion.DECREASING:
             lhs, rhs = rhs, lhs
         slack = lhs - rhs
-        after = (slice(None),) * (k - lead - 1) + (slice(pairs - 1),) if k > lead else ()
-        ok = None if finite else np.isfinite(slack)
-        if ok is None or ok.all():
-            # a product of per-axis target sums; each axis after lead sums
-            # every pair, or every pair with a step when it is axis k
-            count = prod(int(targets[a]) for a in head) * int(targets[run_ids].sum())
-            count *= whole ** (tail - 1) * stepped if after else whole**tail
-        else:
-            ids = [np.array([a]) for a in head] + [run_ids] + [np.arange(pairs)] * tail
-            if after:
-                ids[k] = ids[k][:-1]
-            weights = [targets[a] for a in ids]
-            count = int(reduce(np.multiply, np.ix_(*weights)).sum(where=ok))
+        if some_undefined:
             # an undefined comparison is neither a maximum nor a violation
-            slack = np.where(ok, slack, -np.inf)
-        if not count:
-            return
-        comparisons += count
+            slack = np.where(np.isnan(slack), -np.inf, slack)
         local_max = float(slack.max())
-        max_slack = local_max if max_slack is None else max(max_slack, local_max)
+        max_slack = max(max_slack, local_max)
         if local_max > tol:
+            after = (slice(None),) * (k - lead - 1) + (slice(pairs - 1),) if k > lead else ()
             key = sum(int(keys[j][a]) * stride[j] for j, a in enumerate(head))
             key += (keys[lead][run_ids] * stride[lead]).reshape((-1,) + (1,) * tail)
             key = (key + tail_key[after]).reshape(slack.shape)
@@ -512,10 +497,10 @@ def check_direction_oracle(
                         rhs = quotient(head[:k] + (nxt[a],) + head[k + 1 :], i0, i1, j)
                         compare(block, rhs, head, ids, k)
                 rhs = block[at + (slice(1, None),)]
-                if following is None:
-                    compare(block[at + (slice(-1),)], rhs, head, ids[:-1], lead)
-                else:
+                if following is not None:
                     compare(block, np.concatenate([rhs, following], axis=lead), head, ids, lead)
+                elif i1 - i0 > 1:
+                    compare(block[at + (slice(-1),)], rhs, head, ids[:-1], lead)
                 for k in range(lead + 1, n):
                     lhs = block[(slice(None),) * k + (slice(pairs - 1),)]
                     compare(lhs, block.take(nxt, axis=k), head, ids, k)
@@ -525,9 +510,7 @@ def check_direction_oracle(
                 following = block[at + (slice(1),)].copy()
 
     if first is None:
-        # no defined comparison at all would make a pass vacuous
-        outcome = PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
-        return DirectionVerdict(d, METHOD_ORACLE, outcome, comparisons, max_slack, None)
+        return DirectionVerdict(d, METHOD_ORACLE, PASS_AT_RESOLUTION, comparisons, max_slack, None)
     key, lhs_val, rhs_val = first
     p, rest = divmod(key, total * n)
     q, k = divmod(rest, n)
@@ -567,15 +550,14 @@ def scan_direction(
     treat that as an internal defect, not a property of the copula).  A
     reported counterexample that does not re-verify through the scalar
     path (``recheck_counterexample``) sets ``methods_agree`` to False too.
+    ``eps_den`` must be at least ``MIN_EPS_DEN``, whatever the method.
 
     Both routes read their tables off ``ctable``, the copula table of the
     spec and lattice (``_copula_table``), which ``scan_all_directions``
     builds once for all its directions; it is built here when not given.
     """
-    if d.dim != spec.dim:
-        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
-    if method not in (METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH):
-        raise ValueError(f"unknown method {method!r}")
+    _check_direction(spec, d)
+    _check_settings(method, eps_den)
     if ctable is None:
         ctable = _copula_table(spec, grid)
     table, pairwise = _read_tables(ctable, d)
@@ -626,13 +608,21 @@ def scan_all_directions(
 ) -> list[DirectionVerdict]:
     """Verdicts for every requested direction (default: all 2^n of them).
 
-    A lattice that no table can hold is refused before anything is
-    allocated: more axes than an array has, more bytes at the peak of the
-    copula table's build than the machine has memory, or, when the
-    inequality route runs, more at the peak of its pair arrays.  The
-    copula table is built once and handed to every direction.
+    The spec, the method, ``eps_den`` (as ``scan_direction`` checks them)
+    and the dim of every requested direction are checked first.  A lattice that no table
+    can hold is refused before anything is allocated: more axes than an
+    array has, more bytes at the peak of the copula table's build than the
+    machine has memory, or, when the inequality route runs, more at the
+    peak of its pair arrays.  The copula table is built once and handed to
+    every direction.
     """
     validate(spec)
+    _check_settings(method, eps_den)
+    if directions is not None:
+        for d in directions:
+            _check_direction(spec, d)
+        if not directions:
+            return []
     g, n = grid.resolution, spec.dim
     if n > _MAX_DIM:
         raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")

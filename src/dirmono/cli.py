@@ -24,13 +24,13 @@ import sys
 import time
 from typing import Sequence
 
-from .checker import GridSpec, scan_all_directions
+from .checker import DEFAULT_TOL, METHOD_BOTH, METHODS, MIN_EPS_DEN, GridSpec, scan_all_directions
 from .core import DimensionError, DirectionError, Notion, direction_from_token
 from .families import CopulaSpec, ParameterError, validate
 from .orthant import DEFAULT_EPS_DEN
 from .report import RunConfig, ScanReport, exit_code, format_report
 
-_DEFAULTS = {"all_directions": False, "method": "both", "notion": "I", "tol": 1e-9,
+_DEFAULTS = {"all_directions": False, "method": METHOD_BOTH, "notion": "I", "tol": DEFAULT_TOL,
              "eps_den": DEFAULT_EPS_DEN, "format": "text"}
 
 # the json types a config value may have, by the name of its flag's type;
@@ -61,6 +61,8 @@ def _bounded(kind, holds, what: str):
 
 _RESOLUTION = _bounded(int, lambda g: g >= 2, ">= 2")
 _POSITIVE = _bounded(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
+_EPS_DEN = _bounded(float, lambda x: math.isfinite(x) and x >= MIN_EPS_DEN,
+                    f"finite and at least {MIN_EPS_DEN!r}")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
@@ -86,12 +88,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
             "--all-directions", action="store_true", help="scan all 2^n directions (default)"
         ),
         check.add_argument("--grid", type=_RESOLUTION, help="lattice resolution g >= 2"),
-        check.add_argument("--method", choices=["inequality", "oracle", "both"]),
+        check.add_argument("--method", choices=METHODS),
         check.add_argument("--notion", choices=["I", "D"]),
-        check.add_argument("--tol", type=_POSITIVE, help="inequality tolerance (default 1e-9)"),
-        check.add_argument(
-            "--eps-den", type=_POSITIVE, help="conditioning-mass guard (default 1e-12)"
-        ),
+        check.add_argument("--tol", type=_POSITIVE,
+                           help=f"inequality tolerance (default {DEFAULT_TOL:g})"),
+        check.add_argument("--eps-den", type=_EPS_DEN, help=(
+            f"conditioning-mass guard, >= {MIN_EPS_DEN:.4g} (default {DEFAULT_EPS_DEN:g})")),
         check.add_argument("--format", choices=["text", "json", "csv"]),
         check.add_argument("--out", help="output path (default stdout)"),
     ]

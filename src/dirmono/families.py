@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,7 +186,8 @@ def survival_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
 
 
 def _survival_array(spec: CopulaSpec, arr: np.ndarray) -> np.ndarray:
-    return _signed_sum(spec, 1.0 - arr, (), range(spec.dim))
+    margin = partial(_pinned_cdf, spec, arr=1.0 - arr)
+    return _signed_sum(margin, (), range(spec.dim), arr.shape[:-1])
 
 
 def _pinned_cdf(spec: CopulaSpec, selected: Sequence[int], arr: np.ndarray) -> np.ndarray:
@@ -202,13 +204,14 @@ def _pinned_cdf(spec: CopulaSpec, selected: Sequence[int], arr: np.ndarray) -> n
 
 
 def _signed_sum(
-    spec: CopulaSpec, arr: np.ndarray, fixed: tuple[int, ...], free: Sequence[int]
+    margin: Callable[[tuple[int, ...]], np.ndarray], fixed: tuple, free: Sequence[int], shape: tuple
 ) -> np.ndarray:
-    """Sum over subsets S of ``free`` of (-1)**|S| times the copula at
-    ``arr`` with every coordinate outside ``fixed`` and S pinned to 1."""
-    total = np.zeros(arr.shape[:-1])
+    """Sum, of the given shape, over subsets S of ``free`` of (-1)**|S|
+    times ``margin(fixed + S)``: the copula with every coordinate outside
+    ``fixed`` and S pinned to 1."""
+    total = np.zeros(shape)
     for size in range(len(free) + 1):
         sign = -1.0 if size % 2 else 1.0
         for subset in itertools.combinations(free, size):
-            total = total + sign * _pinned_cdf(spec, fixed + subset, arr)
+            total = total + sign * margin(fixed + subset)
     return total

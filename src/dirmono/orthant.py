@@ -17,6 +17,7 @@ dim) and are pure.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -54,7 +55,7 @@ def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
 
 
 def _orthant_array(spec: CopulaSpec, d: Direction, arr: np.ndarray) -> np.ndarray:
-    return _signed_sum(spec, arr, d.neg_idx, d.pos_idx)
+    return _signed_sum(partial(_pinned_cdf, spec, arr=arr), d.neg_idx, d.pos_idx, arr.shape[:-1])
 
 
 def conditional_prob(

@@ -241,7 +241,8 @@ class TestScans:
         assert len(verdicts) == 1
         assert verdicts[0].direction.signs == (1, -1, 1)
 
-    def test_empty_direction_list(self):
+    def test_empty_direction_list(self, monkeypatch):
+        monkeypatch.setattr(checker, "_copula_table", None)
         spec = CopulaSpec("product", 2)
         assert scan_all_directions(spec, GridSpec(5), directions=[]) == []
 
@@ -293,8 +294,9 @@ class TestScans:
         with pytest.raises(DimensionError):
             scan_all_directions(spec, grid, directions=[make_direction([1, -1])])
         gc.collect()
-        assert len(tables) == 3
-        assert [ref() for ref in tables] == [None] * 3
+        # the direction of the wrong dim is refused before any table
+        assert len(tables) == 2
+        assert [ref() for ref in tables] == [None] * 2
 
     @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH])
     def test_handed_table_gives_the_verdict_of_a_direct_call(self, method):
@@ -309,6 +311,26 @@ class TestScans:
         spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
         with pytest.raises(ValueError, match="unknown method"):
             scan_direction(spec, make_direction([1, -1]), GridSpec(3), method="neither")
+
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"method": "neither"}, ValueError, "unknown method"),
+            ({"method": "neither", "directions": []}, ValueError, "unknown method"),
+            ({"eps_den": 5e-324}, ValueError, "eps_den"),
+            ({"directions": [make_direction([1, -1, 1]), make_direction([1, -1])]},
+             DimensionError, "direction dim 2"),
+        ],
+        ids=["method", "method-no-directions", "eps-den", "direction-dim"],
+    )
+    def test_scan_settings_are_refused_before_any_table(self, monkeypatch, kwargs, error, match):
+        # a memory too small for the inequality route's pairs must not
+        # hide the bad setting either
+        monkeypatch.setattr(checker, "_copula_table", None)
+        monkeypatch.setattr(checker, "_MEMORY", 1)
+        spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
+        with pytest.raises(error, match=match):
+            scan_all_directions(spec, GridSpec(3), **kwargs)
 
     @pytest.mark.parametrize("params", [{"lambda": 5.0}, {}], ids=["lambda-5", "no-lambda"])
     @pytest.mark.parametrize("signs", [[1, -1], [1, 1]], ids=["mixed", "all-positive"])
@@ -596,6 +618,36 @@ class TestOracleMatchesScalar:
                 scalar = _scalar_oracle_scan(spec, d, g, tol=tol)[notion]
                 gathered = check_direction_oracle(spec, d, GridSpec(g), tol=tol, notion=notion)
                 assert _summary(gathered) == scalar, (d.pretty(), notion)
+
+    @pytest.mark.parametrize(
+        "spec, g, block, eps_den",
+        [(CopulaSpec("m", 3), 3, 7, 0.05), (CopulaSpec("w", 2), 5, 1, DEFAULT_EPS_DEN)],
+        ids=["m3-block7", "w2-block1"],
+    )
+    def test_partly_defined_blocks_with_head_axes(self, monkeypatch, spec, g, block, eps_den):
+        # both blocks leave axis 0 before the lead axis (6 pairs per axis at
+        # g = 3, 15 at g = 5), and m's mixed and w's pure directions leave
+        # some conditions undefined, so the count, the masked maximum and
+        # the first violation all meet undefined steps on a head axis
+        monkeypatch.setattr(checker, "_BLOCK", block)
+        every = spec.dim * (g - 1) * g ** (2 * spec.dim - 1)
+        partial = []
+        for d in all_directions(spec.dim):
+            for notion, scalar in _scalar_oracle_scan(spec, d, g, eps_den).items():
+                gathered = check_direction_oracle(
+                    spec, d, GridSpec(g), eps_den=eps_den, notion=notion
+                )
+                assert _summary(gathered) == scalar, (d.pretty(), notion)
+                if 0 < gathered.pairs_tested < every:
+                    partial.append(gathered.outcome)
+        assert REFUTED in partial
+
+    def test_eps_den_has_a_floor(self):
+        spec, d, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, -1]), GridSpec(3)
+        with pytest.raises(ValueError, match="eps_den"):
+            check_direction_oracle(spec, d, grid, eps_den=5e-324)
+        floor = check_direction_oracle(spec, d, grid, eps_den=checker.MIN_EPS_DEN)
+        assert floor == check_direction_oracle(spec, d, grid)
 
     def test_memory_stays_within_blocks(self):
         # the dense g^n x g^n matrices of a direct evaluation would take

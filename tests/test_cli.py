@@ -224,6 +224,28 @@ class TestParseConfig:
         [line] = captured.err.splitlines()
         assert line.startswith("dirmono: error:") and "conjectural" in line
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_eps_den_below_the_smallest_normal_exits_two(self, tmp_path, capsys, how):
+        # 5e-324 is the smallest subnormal double; below the floor a
+        # quotient of the oracle could overflow
+        argv = ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "3"]
+        if how == "flag":
+            argv += ["--eps-den", "5e-324"]
+        else:
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({"eps_den": 5e-324}))
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("dirmono: error:") and "eps_den" in line.replace("-", "_")
+
+    def test_eps_den_at_the_smallest_normal_is_accepted(self):
+        cfg = parse_config(["check", "--family", "product", "--dim", "2",
+                            "--eps-den", "2.2250738585072014e-308"])
+        assert cfg.eps_den == checker.MIN_EPS_DEN
+
 
 class TestExitCodes:
     def test_pass_run(self):
