@@ -34,7 +34,8 @@ walks its lead axis one join j at a time, from the last, and the
 conditions of a join from the largest, so that a lead-axis step reads
 the next row of its block, the first row of the join's previous block,
 or, from the diagonal (j, j), the diagonal row (j+1, j+1) kept from the
-join before.
+join before.  The walk only decides, and keeps the rows that hold a
+violation and can hold the first; a locate step re-evaluates only those.
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: they evaluate
 F_d at single points as the signed sum of margins (``_orthant_array``),
@@ -52,8 +53,8 @@ Scans evaluate every pair (no short-circuit) so that slack statistics
 are always complete; the reported counterexample is the first violation
 in lexicographic order of the concatenated pair coordinates (inequality)
 or of the flat (target, earlier condition, axis) indices (oracle), which
-keeps results deterministic and independent of block size or any
-parallel execution strategy.
+keeps results deterministic and independent of block size; neither
+scan builds a key for every pair to find it.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ _MAX_DIM = 64
 
 # physical memory, which a scan's peak may not exceed
 _MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-# peak bytes of the inequality route per (u, u') pair: 34.0 to 34.9
-# under tracemalloc at (3,9), (3,15), (2,60) and (4,6)
-_PAIR_PEAK_BYTES = 35
+# peak bytes of the inequality route per (u, u') pair: 25.0 to 28.3 under
+# tracemalloc, passing and refuted, at (6,3), (5,4), (4,6), (3,9), (3,15), (2,60)
+_PAIR_PEAK_BYTES = 29
 
 # (condition, join) pairs in one block of the oracle's conditionals;
 # larger blocks gain no speed and raise peak memory
@@ -231,17 +232,6 @@ def check_pair(
     return None
 
 
-def _flat(parts: Sequence[np.ndarray], g: int) -> np.ndarray:
-    """Flat (row-major) indices into the (g,)*n lattice of every combination
-    of per-axis lattice indices: ``parts[k]`` has shape (m_k,), and the
-    result has shape (m_0, ..., m_{n-1})."""
-    n = len(parts)
-    flat = 0
-    for k, part in enumerate(parts):
-        flat = flat * g + part.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
-    return flat
-
-
 def _lattice(points: np.ndarray, n: int) -> np.ndarray:
     """Every combination of ``points`` on n axes, shape (m,)*n + (n,)."""
     return np.stack(np.meshgrid(*[points] * n, indexing="ij", copy=False), axis=-1)
@@ -355,19 +345,22 @@ def check_direction_inequality(
         return DirectionVerdict(
             d, METHOD_INEQUALITY, PASS_AT_RESOLUTION, slack.size, max_slack, None
         )
-    # the first violation in lexicographic (u, u') order: smallest
-    # flat(u) * g^n + flat(u')
-    key = _flat([lo * table.size + hi] * n, g)
-    key[~violating] = np.iinfo(key.dtype).max
-    i = int(key.argmin())
-    u, up = divmod(int(key.flat[i]), table.size)
+    # the first violation in lexicographic (u, u') order: axis by axis, the
+    # smallest lo that holds one, whose pairs are a run in triu order; then
+    # the first of the remaining hi in row-major order
+    start = []
+    for k in range(n):
+        a = int(violating.any(axis=tuple(m for m in range(n) if m != k)).argmax())
+        violating = violating[(slice(None),) * k + (slice(a, np.searchsorted(lo, lo[a], "right")),)]
+        start.append(a)
+    i = tuple(np.add(start, np.unravel_index(int(violating.argmax()), violating.shape)))
     cex = Counterexample(
         d,
-        _point(grid, n, u),
-        _point(grid, n, up),
-        float(lhs.flat[i]),
-        float(rhs.flat[i]),
-        float(slack.flat[i]),
+        tuple(grid.points()[lo[list(i)]]),
+        tuple(grid.points()[hi[list(i)]]),
+        float(lhs[i]),
+        float(rhs[i]),
+        float(slack[i]),
         kind="pair",
     )
     return DirectionVerdict(d, METHOD_INEQUALITY, REFUTED, slack.size, max_slack, cex)
@@ -400,6 +393,9 @@ def check_direction_oracle(
     blocks of at most _BLOCK (w, z) pairs.  ``pairs_tested`` counts every
     target, paired with every defined condition that steps to a defined
     condition, along every axis; it is counted before the walk.
+
+    The walk only decides; a locate step re-evaluates, each once at most
+    and by least key, the violating rows that can hold the first violation.
     """
     _check_direction(spec, d)
     _check_settings(METHOD_ORACLE, eps_den)
@@ -433,15 +429,7 @@ def check_direction_oracle(
     lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= _BLOCK)
     tail = n - 1 - lead
     run = _BLOCK // pairs**tail
-    stride = [g ** (n - 1 - j) for j in range(n)]
-    # the key of each pair: the lattice index of the smallest target that
-    # joins its condition to its join, times g^n, plus the condition's
-    # index, in the lattice's own coordinates; _flat of the key parts
-    # gives p * g^n + q
-    keys = []
-    for s in d.signs:
-        w, z = (lo, hi) if s > 0 else (g - 1 - lo, g - 1 - hi)
-        keys.append(np.where(lo == hi, 0 if s > 0 else w, z) * total + w)
+    at = (slice(None),) * lead
 
     def quotient(head: tuple, i0: int, i1: int, j: int) -> np.ndarray:
         # conditionals of a block: the pairs ``head`` before lead, the
@@ -453,36 +441,55 @@ def check_direction_oracle(
             z, w = z.take(hi, axis=k - 1), w.take(lo, axis=k)
         return (z / w).reshape((1,) * lead + (i1 - i0,) + (pairs,) * tail)
 
-    # the keys of every combination of pairs on the axes after lead
-    tail_key = np.asarray(_flat(keys[lead + 1 :], g))
-    max_slack = -np.inf
-    first: tuple[int, float, float] | None = None
-
-    def compare(lhs: np.ndarray, rhs: np.ndarray, head: tuple, run_ids: np.ndarray, k: int):
-        # lhs against rhs, stepped on axis k, for the pairs ``head`` before
-        # lead, ``run_ids`` on lead and every pair with a step after it
-        nonlocal max_slack, first
+    def oriented(lhs: np.ndarray, rhs: np.ndarray):
+        # the comparison in the notion's order, and its slack
         if notion is Notion.DECREASING:
             lhs, rhs = rhs, lhs
         slack = lhs - rhs
         if some_undefined:
             # an undefined comparison is neither a maximum nor a violation
             slack = np.where(np.isnan(slack), -np.inf, slack)
-        local_max = float(slack.max())
-        max_slack = max(max_slack, local_max)
-        if local_max > tol:
-            after = (slice(None),) * (k - lead - 1) + (slice(pairs - 1),) if k > lead else ()
-            key = sum(int(keys[j][a]) * stride[j] for j, a in enumerate(head))
-            key += (keys[lead][run_ids] * stride[lead]).reshape((-1,) + (1,) * tail)
-            key = (key + tail_key[after]).reshape(slack.shape)
-            key[~(slack > tol)] = np.iinfo(key.dtype).max
-            i = int(key.argmin())
-            key_k = int(key.flat[i]) * n + k
-            if first is None or key_k < first[0]:
-                first = (key_k, float(lhs.flat[i]), float(rhs.flat[i]))
+        return lhs, rhs, slack
 
-    at = (slice(None),) * lead
+    def compare_block(head: tuple, i0: int, i1: int, j: int, block: np.ndarray, following):
+        # each comparison of rows i0:i1 of join j, whose next row along lead is
+        # ``following``: the axis, the lead pairs compared, lhs, rhs and slack
+        ids = pair[i0:i1, j]
+        for k, a in enumerate(head):
+            # a step before lead leaves the block: compute its neighbour
+            if a < len(nxt):
+                rhs = quotient(head[:k] + (nxt[a],) + head[k + 1 :], i0, i1, j)
+                yield (k, ids) + oriented(block, rhs)
+        rhs = block[at + (slice(1, None),)]
+        if following is not None:
+            yield (lead, ids) + oriented(block, np.concatenate([rhs, following], axis=lead))
+        elif i1 - i0 > 1:
+            yield (lead, ids[:-1]) + oriented(block[at + (slice(-1),)], rhs)
+        for k in range(lead + 1, n):
+            lhs = block[(slice(None),) * k + (slice(pairs - 1),)]
+            yield (k, ids) + oriented(lhs, block.take(nxt, axis=k))
+
+    # the key of a pair is the lattice index of the smallest target that
+    # joins its condition to its join, times g^n, plus the condition's
+    # index, in the lattice's own coordinates; summed over the axes, with
+    # the lattice's strides, the keys give p * g^n + q
+    keys = []
+    for k, s in enumerate(d.signs):
+        w, z = (lo, hi) if s > 0 else (g - 1 - lo, g - 1 - hi)
+        keys.append((np.where(lo == hi, 0 if s > 0 else w, z) * total + w) * g ** (n - 1 - k))
+    # the keys of every combination of pairs after lead
+    tail_key = np.zeros((), dtype=keys[0].dtype)
+    for key in keys[lead + 1 :]:
+        tail_key = np.add.outer(tail_key, key)
+
+    # the walk keeps the maximum slack and each run of violating rows of a
+    # block, with its least key; a run starts and ends where ``hit``, padded
+    # with False, changes.  A row's keys are at most ``spread`` above its
+    # least, so runs whose least exceeds ``upper`` are dropped
+    max_slack, upper, found, limit = -np.inf, np.inf, [], 64
+    spread = int(tail_key.max() - tail_key.min())
     for head in np.ndindex((pairs,) * lead):
+        head_key = sum(int(keys[k][a]) for k, a in enumerate(head)) + int(tail_key.min())
         # the diagonal row of the join before; the last join's has no step
         diagonal_row = None
         for j in range(g - 1, -1, -1):
@@ -490,27 +497,48 @@ def check_direction_oracle(
             following = diagonal_row
             for i1 in range(j + 1, 0, -run):
                 i0 = max(i1 - run, 0)
-                block, ids = quotient(head, i0, i1, j), pair[i0:i1, j]
-                for k, a in enumerate(head):
-                    # a step before lead leaves the block: compute its neighbour
-                    if a < len(nxt):
-                        rhs = quotient(head[:k] + (nxt[a],) + head[k + 1 :], i0, i1, j)
-                        compare(block, rhs, head, ids, k)
-                rhs = block[at + (slice(1, None),)]
-                if following is not None:
-                    compare(block, np.concatenate([rhs, following], axis=lead), head, ids, lead)
-                elif i1 - i0 > 1:
-                    compare(block[at + (slice(-1),)], rhs, head, ids[:-1], lead)
-                for k in range(lead + 1, n):
-                    lhs = block[(slice(None),) * k + (slice(pairs - 1),)]
-                    compare(lhs, block.take(nxt, axis=k), head, ids, k)
+                block, hit = quotient(head, i0, i1, j), None
+                for _, ids, _, _, slack in compare_block(head, i0, i1, j, block, following):
+                    max_slack = max(max_slack, local_max := float(slack.max()))
+                    if local_max > tol:
+                        hit = np.zeros(i1 - i0 + 2, dtype=bool) if hit is None else hit
+                        hit[1 : ids.size + 1] |= slack.reshape(ids.size, -1).max(axis=1) > tol
+                    del slack, _  # freed before the next comparison is computed
+                if hit is not None:
+                    edges = i0 + np.flatnonzero(hit[1:] != hit[:-1])
+                    for r0, r1 in edges.reshape(-1, 2).tolist():
+                        least = head_key + int(keys[lead][pair[r0:r1, j]].min())
+                        upper = min(upper, least + spread)
+                        found.append((least, head, j, r0, r1))
+                if len(found) > limit:
+                    found = [f for f in found if f[0] <= upper]
+                    limit = 2 * len(found) + 64
                 # copied, so that the rest of the block can be freed
                 if i1 == j + 1:
                     diagonal_row = block[at + (slice(-1, None),)].copy()
                 following = block[at + (slice(1),)].copy()
-
-    if first is None:
+    if not found:
         return DirectionVerdict(d, METHOD_ORACLE, PASS_AT_RESOLUTION, comparisons, max_slack, None)
+
+    # the locate step re-evaluates the runs by their least key, until that
+    # exceeds the first violation in (target, earlier condition, axis) order
+    first: tuple[int, float, float] | None = None
+    for least, head, j, i0, i1 in sorted(found):
+        if first is not None and least * n > first[0]:
+            break
+        # the row after the run's last: the next condition, or the next diagonal
+        following = quotient(head, i1, i1 + 1, j + (i1 > j)) if i1 < g else None
+        block = quotient(head, i0, i1, j)
+        for k, ids, lhs, rhs, slack in compare_block(head, i0, i1, j, block, following):
+            after = (slice(None),) * (k - lead - 1) + (slice(pairs - 1),) if k > lead else ()
+            key = sum(int(keys[m][a]) for m, a in enumerate(head)) + keys[lead][ids]
+            key = (key.reshape((-1,) + (1,) * tail) + tail_key[after]).reshape(slack.shape)
+            key[slack <= tol] = np.iinfo(key.dtype).max
+            i = int(key.argmin())
+            key_k = int(key.flat[i]) * n + k
+            if slack.flat[i] > tol and (first is None or key_k < first[0]):
+                first = (key_k, float(lhs.flat[i]), float(rhs.flat[i]))
+
     key, lhs_val, rhs_val = first
     p, rest = divmod(key, total * n)
     q, k = divmod(rest, n)

@@ -174,9 +174,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             directions = tuple(direction_from_token(t) for t in settings["direction"])
         except (DirectionError, DimensionError) as exc:
             raise UsageError(str(exc)) from exc
-        for d in directions:
-            if d.dim != dim:
-                raise UsageError(f"direction {d.pretty()} has {d.dim} entries, copula dim is {dim}")
 
     return RunConfig(
         spec=spec,

@@ -642,6 +642,46 @@ class TestOracleMatchesScalar:
                     partial.append(gathered.outcome)
         assert REFUTED in partial
 
+    @pytest.mark.parametrize("block", [1, 7, 25, checker._BLOCK])
+    @pytest.mark.parametrize(
+        "spec, signs, target",
+        [(CopulaSpec("w", 2), (-1, -1), 5), (CopulaSpec("m", 4), (-1, -1, -1, 1), 39)],
+        ids=["w2", "m4"],
+    )
+    def test_locates_a_deep_first_violation(self, monkeypatch, spec, signs, target, block):
+        # the first violating target is the 6th of 9 and the 40th of 81 in
+        # lattice order, behind rows that violate with larger keys; blocks
+        # of 25 and the default hold several rows of a join on lead
+        d, g = make_direction(signs), 3
+        monkeypatch.setattr(checker, "_BLOCK", block)
+        points = list(GridSpec(g).points())
+        for notion, scalar in _scalar_oracle_scan(spec, d, g).items():
+            gathered = check_direction_oracle(spec, d, GridSpec(g), notion=notion)
+            assert _summary(gathered) == scalar, notion
+            at = [points.index(x) for x in gathered.counterexample.target]
+            assert np.ravel_multi_index(at, (g,) * spec.dim) == target
+
+    @pytest.mark.parametrize("block", [7, 25])
+    @pytest.mark.parametrize(
+        "spec, signs",
+        [
+            (CopulaSpec("convexpim", 3, {"theta": 0.5}), (1, 1, -1)),
+            (CopulaSpec("product", 4), (1, -1, 1, 1)),
+        ],
+        ids=["convexpim3", "product4"],
+    )
+    def test_locates_past_the_run_of_least_bound(self, monkeypatch, spec, signs, block):
+        # with these blocks the first violation is not in the first run of
+        # rows by least key (convexpim), nor, for the decreasing notion, in
+        # a run whose least key is the least of all (product), so a locate
+        # step that stopped after its first run, or a walk that kept only
+        # the runs of least key, would report a later violation
+        d, g = make_direction(signs), 3
+        monkeypatch.setattr(checker, "_BLOCK", block)
+        for notion, scalar in _scalar_oracle_scan(spec, d, g).items():
+            gathered = check_direction_oracle(spec, d, GridSpec(g), notion=notion)
+            assert _summary(gathered) == scalar, notion
+
     def test_eps_den_has_a_floor(self):
         spec, d, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, -1]), GridSpec(3)
         with pytest.raises(ValueError, match="eps_den"):
@@ -706,6 +746,26 @@ class TestOracleMatchesScalar:
         assert small == default and default.outcome == REFUTED
         assert peak < 96 * 2**10
 
+    def test_memory_stays_flat_when_most_rows_violate(self, monkeypatch):
+        # fgm (2,12) in blocks of 25 pairs walks 78 x 78 rows (a lead pair
+        # for each pair before it), most of which violate the decreasing
+        # notion; the walk keeps only the runs of rows that can hold the
+        # first violation, about 15 KiB at peak, not an entry per row
+        spec, d, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, 1]), GridSpec(12)
+        table = checker._orthant_table(checker._copula_table(spec, grid), d)
+        default = check_direction_oracle(spec, d, grid, notion=Notion.DECREASING, table=table)
+        monkeypatch.setattr(checker, "_BLOCK", 25)
+        # the first call at a block size allocates caches that later calls reuse
+        check_direction_oracle(spec, d, grid, notion=Notion.DECREASING, table=table)
+        tracemalloc.start()
+        try:
+            small = check_direction_oracle(spec, d, grid, notion=Notion.DECREASING, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert small == default and default.outcome == REFUTED
+        assert peak < 32 * 2**10
+
 
 class TestInequalityMemory:
     @pytest.mark.parametrize(
@@ -725,3 +785,19 @@ class TestInequalityMemory:
             tracemalloc.stop()
         assert v.outcome == outcome
         assert peak < 96 * 2**20
+
+    @pytest.mark.parametrize(
+        "signs, g", [((1, 1, 1, 1, 1, -1), 3), ((1, -1, -1), 15)], ids=["fgm6-g3", "fgm3-g15"]
+    )
+    def test_refuted_peak_within_the_charge_per_pair(self, signs, g):
+        # scan_all_directions refuses a lattice by this charge; the smallest
+        # lattice has the most bytes per pair
+        spec = CopulaSpec("fgm", len(signs), {"lambda": 0.5})
+        tracemalloc.start()
+        try:
+            v = check_direction_inequality(spec, make_direction(signs), GridSpec(g))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.outcome == REFUTED
+        assert peak <= checker._PAIR_PEAK_BYTES * (g * (g + 1) // 2) ** len(signs)

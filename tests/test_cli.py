@@ -77,7 +77,7 @@ class TestParseConfig:
             ["check", "--family", "fgm", "--dim", "2", "--lambda", "1.5"],
             ["check", "--family", "fgm", "--dim", "2"],
             ["check", "--family", "product", "--dim", "2", "--direction", "+,?"],
-            ["check", "--family", "product", "--dim", "3", "--direction", "+,-"],
+            ["check", "--family", "product", "--dim", "2", "--direction", "+"],
             ["check", "--family", "product", "--dim", "2", "--grid", "1"],
             ["check", "--family", "product", "--dim", "2", "--tol", "0"],
             ["check", "--family", "product", "--dim", "2", "--tol", "inf"],
@@ -262,6 +262,20 @@ class TestExitCodes:
         for key in ("u_low", "u_high", "lhs", "rhs", "violation"):
             assert key in cex
         assert cex["violation"] > 1e-9
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_direction_of_another_dim_exits_two(self, capsys, tmp_path, source):
+        # the library refuses it before building anything, with one message
+        if source == "flag":
+            argv = ["check", "--family", "product", "--dim", "3", "--direction", "+,-"]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"family": "product", "dim": 3, "direction": ["+,-"]}))
+            argv = ["check", "--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dirmono: error: direction dim 2 does not match copula dim 3\n"
 
     def test_config_error_run(self):
         result = invoke("check", "--config", str(FIXTURES / "amh_invalid_dim.json"))
