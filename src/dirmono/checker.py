@@ -59,6 +59,7 @@ scan builds a key for every pair to find it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from numbers import Integral
@@ -177,11 +178,18 @@ def _check_direction(spec: CopulaSpec, d: Direction) -> None:
         raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
 
 
-def _check_settings(method: str, eps_den: float) -> None:
+def _check_settings(
+    tol: float, notion: Notion | str, eps_den: float = MIN_EPS_DEN, method: str = METHOD_BOTH
+) -> Notion:
+    """Refuse a bad scan setting; ``notion`` comes back as a Notion, which
+    "I" and "D" name."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if not eps_den >= MIN_EPS_DEN:
-        raise ValueError(f"eps_den must be at least {MIN_EPS_DEN!r}, got {eps_den!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not MIN_EPS_DEN <= eps_den < math.inf:
+        raise ValueError(f"eps_den must be finite and >= {MIN_EPS_DEN!r}, got {eps_den!r}")
+    return Notion(notion)
 
 
 def check_pair(
@@ -190,7 +198,7 @@ def check_pair(
     u: Sequence[float],
     up: Sequence[float],
     tol: float = DEFAULT_TOL,
-    notion: Notion = Notion.INCREASING,
+    notion: Notion | str = Notion.INCREASING,
 ) -> Counterexample | None:
     """Pairwise inequality for one ordered pair u <= up, through the scalar
     evaluators.
@@ -201,6 +209,7 @@ def check_pair(
     all-negative direction, its survival transform for the all-positive
     one.  Returns None on a pass, otherwise the pair with both sides.
     """
+    notion = Notion(notion)
     u = tuple(float(x) for x in u)
     up = tuple(float(x) for x in up)
     if not spec.dim == d.dim == len(u) == len(up):
@@ -290,7 +299,7 @@ def check_direction_inequality(
     d: Direction,
     grid: GridSpec,
     tol: float = DEFAULT_TOL,
-    notion: Notion = Notion.INCREASING,
+    notion: Notion | str = Notion.INCREASING,
     *,
     table: np.ndarray | None = None,
 ) -> DirectionVerdict:
@@ -305,6 +314,7 @@ def check_direction_inequality(
     copula is evaluated here.
     """
     _check_direction(spec, d)
+    notion = _check_settings(tol, notion)
     if d.is_pure and spec.dim > 3:
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
@@ -372,7 +382,7 @@ def check_direction_oracle(
     grid: GridSpec,
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
-    notion: Notion = Notion.INCREASING,
+    notion: Notion | str = Notion.INCREASING,
     *,
     table: np.ndarray | None = None,
 ) -> DirectionVerdict:
@@ -384,9 +394,8 @@ def check_direction_oracle(
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
     skipped; a direction left with no comparison is unsupported.
-    ``eps_den`` is at least ``MIN_EPS_DEN``.  ``table`` is F_d on the
-    lattice; when not given, it is read off the copula table as
-    ``scan_direction`` reads it.
+    ``table`` is F_d on the lattice; when not given, it is read off the
+    copula table as ``scan_direction`` reads it.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
     w in d's order; each distinct (w, z, axis) is evaluated once, in
@@ -398,7 +407,7 @@ def check_direction_oracle(
     and by least key, the violating rows that can hold the first violation.
     """
     _check_direction(spec, d)
-    _check_settings(METHOD_ORACLE, eps_den)
+    notion = _check_settings(tol, notion, eps_den)
     g, n = grid.resolution, spec.dim
     if table is None:
         table = _orthant_table(_copula_table(spec, grid), d)
@@ -566,7 +575,7 @@ def scan_direction(
     method: str = METHOD_BOTH,
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
-    notion: Notion = Notion.INCREASING,
+    notion: Notion | str = Notion.INCREASING,
     *,
     ctable: np.ndarray | None = None,
 ) -> DirectionVerdict:
@@ -578,14 +587,15 @@ def scan_direction(
     treat that as an internal defect, not a property of the copula).  A
     reported counterexample that does not re-verify through the scalar
     path (``recheck_counterexample``) sets ``methods_agree`` to False too.
-    ``eps_den`` must be at least ``MIN_EPS_DEN``, whatever the method.
+    The settings are checked as ``_check_settings`` checks them, whatever
+    the method.
 
     Both routes read their tables off ``ctable``, the copula table of the
     spec and lattice (``_copula_table``), which ``scan_all_directions``
     builds once for all its directions; it is built here when not given.
     """
     _check_direction(spec, d)
-    _check_settings(method, eps_den)
+    notion = _check_settings(tol, notion, eps_den, method)
     if ctable is None:
         ctable = _copula_table(spec, grid)
     table, pairwise = _read_tables(ctable, d)
@@ -631,21 +641,21 @@ def scan_all_directions(
     method: str = METHOD_BOTH,
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
-    notion: Notion = Notion.INCREASING,
+    notion: Notion | str = Notion.INCREASING,
     directions: Sequence[Direction] | None = None,
 ) -> list[DirectionVerdict]:
     """Verdicts for every requested direction (default: all 2^n of them).
 
-    The spec, the method, ``eps_den`` (as ``scan_direction`` checks them)
-    and the dim of every requested direction are checked first.  A lattice that no table
-    can hold is refused before anything is allocated: more axes than an
+    The spec, the settings (as ``scan_direction`` checks them) and the
+    dim of every requested direction are checked first.  A lattice that
+    no table can hold is refused before anything is allocated: more axes than an
     array has, more bytes at the peak of the copula table's build than the
     machine has memory, or, when the inequality route runs, more at the
     peak of its pair arrays.  The copula table is built once and handed to
     every direction.
     """
     validate(spec)
-    _check_settings(method, eps_den)
+    notion = _check_settings(tol, notion, eps_den, method)
     if directions is not None:
         for d in directions:
             _check_direction(spec, d)
@@ -674,18 +684,19 @@ def recheck_counterexample(
     cex: Counterexample,
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
-    notion: Notion = Notion.INCREASING,
+    notion: Notion | str = Notion.INCREASING,
 ) -> bool:
     """Recompute a counterexample from scratch through the scalar path.
 
     Returns True when the recomputed violation still exceeds tol; used to
     keep the vectorized scan honest.
     """
-    d = cex.direction
+    d, notion = cex.direction, Notion(notion)
     if cex.kind == "pair":
         return check_pair(spec, d, cex.u_low, cex.u_high, tol, notion) is not None
     if cex.kind == "step":
-        assert cex.target is not None and cex.axis is not None
+        if cex.target is None or cex.axis is None:
+            raise ValueError("a step counterexample needs a target and an axis")
         step_up = cex.axis in d.pos_idx
         earlier = cex.u_low if step_up else cex.u_high
         later = cex.u_high if step_up else cex.u_low

@@ -6,6 +6,9 @@ requested format. The ``check`` parser is the one definition of each
 setting. A config file sets the same settings under the flags' dest
 names, checked against the flag: json type, choices, then its ``type``.
 Flags win; a direction flag replaces the config's directions as a whole.
+The library states what the values must be (the spec, the directions,
+grid, tol, eps_den): a ValueError from parsing or from the scan is one
+usage-error line.
 
 Exit codes: 0 every requested direction passed at the grid resolution,
 1 some direction was refuted (or could not be fully checked), 2 usage or
@@ -19,50 +22,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Sequence
 
-from .checker import DEFAULT_TOL, METHOD_BOTH, METHODS, MIN_EPS_DEN, GridSpec, scan_all_directions
-from .core import DimensionError, DirectionError, Notion, direction_from_token
-from .families import CopulaSpec, ParameterError, validate
+from .checker import DEFAULT_TOL, METHOD_BOTH, METHODS, GridSpec, scan_all_directions
+from .core import Notion, direction_from_token
+from .families import CopulaSpec
 from .orthant import DEFAULT_EPS_DEN
 from .report import RunConfig, ScanReport, exit_code, format_report
 
-_DEFAULTS = {"all_directions": False, "method": METHOD_BOTH, "notion": "I", "tol": DEFAULT_TOL,
-             "eps_den": DEFAULT_EPS_DEN, "format": "text"}
+_DEFAULTS = {"all_directions": False, "method": METHOD_BOTH, "notion": Notion.INCREASING.value,
+             "tol": DEFAULT_TOL, "eps_den": DEFAULT_EPS_DEN, "format": "text"}
 
 # the json types a config value may have, by the name of its flag's type;
 # a flag without a type takes a string
 _JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number")}
 
 
-class UsageError(Exception):
-    """Bad flags or config file content; maps to exit code 2."""
+class UsageError(ValueError):
+    """Bad flags or config file content; exits 2, as the library's ValueErrors do."""
 
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError where argparse would print usage and exit."""
     def error(self, message: str):
         raise UsageError(message)
-
-
-def _bounded(kind, holds, what: str):
-    """A ``type=`` callable: ``kind(value)``, rejected unless ``holds`` is true of it."""
-    def convert(value):
-        x = kind(value)
-        if not holds(x):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {x}")
-        return x
-    convert.__name__ = kind.__name__  # argparse names the type in its messages
-    return convert
-
-
-_RESOLUTION = _bounded(int, lambda g: g >= 2, ">= 2")
-_POSITIVE = _bounded(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
-_EPS_DEN = _bounded(float, lambda x: math.isfinite(x) and x >= MIN_EPS_DEN,
-                    f"finite and at least {MIN_EPS_DEN!r}")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
@@ -87,13 +72,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
         group.add_argument(
             "--all-directions", action="store_true", help="scan all 2^n directions (default)"
         ),
-        check.add_argument("--grid", type=_RESOLUTION, help="lattice resolution g >= 2"),
+        check.add_argument("--grid", type=int, help="lattice resolution g, points per axis"),
         check.add_argument("--method", choices=METHODS),
-        check.add_argument("--notion", choices=["I", "D"]),
-        check.add_argument("--tol", type=_POSITIVE,
-                           help=f"inequality tolerance (default {DEFAULT_TOL:g})"),
-        check.add_argument("--eps-den", type=_EPS_DEN, help=(
-            f"conditioning-mass guard, >= {MIN_EPS_DEN:.4g} (default {DEFAULT_EPS_DEN:g})")),
+        check.add_argument("--notion", choices=[notion.value for notion in Notion]),
+        check.add_argument("--tol", type=float, help=(
+            f"violation tolerance of both routes (default {DEFAULT_TOL:g})")),
+        check.add_argument("--eps-den", type=float,
+                           help=f"conditioning-mass guard (default {DEFAULT_EPS_DEN:g})"),
         check.add_argument("--format", choices=["text", "json", "csv"]),
         check.add_argument("--out", help="output path (default stdout)"),
     ]
@@ -122,7 +107,7 @@ def _json_value(action: argparse.Action, value):
         raise UsageError(f"{action.dest}: must be one of {choices}, got {value!r}")
     try:
         return action.type(value) if action.type else value
-    except (argparse.ArgumentTypeError, OverflowError) as exc:
+    except OverflowError as exc:
         raise UsageError(f"{action.dest}: {exc}") from exc
 
 
@@ -163,17 +148,10 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     if family.startswith("survival-of:"):
         inner = CopulaSpec(family.removeprefix("survival-of:"), dim, params)
         spec = CopulaSpec("survival", dim, inner=inner)
-    try:
-        validate(spec)
-    except (ParameterError, DimensionError) as exc:
-        raise UsageError(str(exc)) from exc
 
     directions = None
     if "direction" in settings and not settings["all_directions"]:
-        try:
-            directions = tuple(direction_from_token(t) for t in settings["direction"])
-        except (DirectionError, DimensionError) as exc:
-            raise UsageError(str(exc)) from exc
+        directions = tuple(direction_from_token(t) for t in settings["direction"])
 
     return RunConfig(
         spec=spec,
@@ -189,17 +167,29 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the scan described by ``config`` and write the report."""
+    """Execute the scan described by ``config`` and write the report.
+
+    The library checks the settings: a bad one raises ValueError.
+    """
     start = time.perf_counter()
-    verdicts = scan_all_directions(
-        config.spec,
-        GridSpec(config.grid),
-        method=config.method,
-        tol=config.tol,
-        eps_den=config.eps_den,
-        notion=config.notion,
-        directions=config.directions,
-    )
+    try:
+        verdicts = scan_all_directions(
+            config.spec,
+            GridSpec(config.grid),
+            method=config.method,
+            tol=config.tol,
+            eps_den=config.eps_den,
+            notion=config.notion,
+            directions=config.directions,
+        )
+    except MemoryError as exc:
+        n, g = config.spec.dim, config.grid
+        print(
+            f"dirmono: error: not enough memory to scan the lattice of grid {g} "
+            f"in dim {n} ({str(exc) or 'out of memory'}); try a smaller --grid or --dim",
+            file=sys.stderr,
+        )
+        return 2
     elapsed = time.perf_counter() - start
     report = ScanReport(
         config=config,
@@ -225,22 +215,9 @@ def run(config: RunConfig) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = parse_config(argv)
-    except UsageError as exc:
-        print(f"dirmono: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        return run(parse_config(argv))
     except ValueError as exc:
         print(f"dirmono: error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        n, g = config.spec.dim, config.grid
-        print(
-            f"dirmono: error: not enough memory to scan the lattice of grid {g} "
-            f"in dim {n} ({str(exc) or 'out of memory'}); try a smaller --grid or --dim",
-            file=sys.stderr,
-        )
         return 2
 
 

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -320,8 +321,16 @@ class TestScans:
             ({"eps_den": 5e-324}, ValueError, "eps_den"),
             ({"directions": [make_direction([1, -1, 1]), make_direction([1, -1])]},
              DimensionError, "direction dim 2"),
+            ({"tol": 0.0}, ValueError, "tol"),
+            ({"tol": -1e-9}, ValueError, "tol"),
+            ({"tol": float("nan")}, ValueError, "tol"),
+            ({"tol": float("inf")}, ValueError, "tol"),
+            ({"eps_den": float("inf")}, ValueError, "eps_den"),
+            ({"eps_den": float("nan")}, ValueError, "eps_den"),
+            ({"notion": "X"}, ValueError, "Notion"),
         ],
-        ids=["method", "method-no-directions", "eps-den", "direction-dim"],
+        ids=["method", "method-no-directions", "eps-den", "direction-dim", "tol-0",
+             "tol-negative", "tol-nan", "tol-inf", "eps-den-inf", "eps-den-nan", "notion"],
     )
     def test_scan_settings_are_refused_before_any_table(self, monkeypatch, kwargs, error, match):
         # a memory too small for the inequality route's pairs must not
@@ -331,6 +340,33 @@ class TestScans:
         spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
         with pytest.raises(error, match=match):
             scan_all_directions(spec, GridSpec(3), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": float("nan")}, {"tol": 0.0}, {"eps_den": float("inf")}, {"notion": "X"}],
+        ids=["tol-nan", "tol-0", "eps-den-inf", "notion"],
+    )
+    @pytest.mark.parametrize("signs", [[1, -1], [1, 1], [-1, -1]], ids=["mixed", "+", "-"])
+    def test_direct_calls_refuse_settings_before_any_table(self, monkeypatch, kwargs, signs):
+        monkeypatch.setattr(checker, "_copula_table", None)
+        monkeypatch.setattr(checker, "_lattice", None)
+        spec, d = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction(signs)
+        checks = [scan_direction, check_direction_oracle]
+        if "eps_den" not in kwargs:
+            checks.append(check_direction_inequality)
+        for check in checks:
+            with pytest.raises(ValueError, match="tol|eps_den|Notion"):
+                check(spec, d, GridSpec(3), **kwargs)
+
+    @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH])
+    def test_notion_letters_give_the_verdicts_of_the_members(self, method):
+        spec, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), GridSpec(5)
+        for notion in Notion:
+            letter = scan_all_directions(spec, grid, method=method, notion=notion.value)
+            assert letter == scan_all_directions(spec, grid, method=method, notion=notion)
+            for v in letter:
+                if v.counterexample is not None:
+                    assert recheck_counterexample(spec, v.counterexample, notion=notion.value)
 
     @pytest.mark.parametrize("params", [{"lambda": 5.0}, {}], ids=["lambda-5", "no-lambda"])
     @pytest.mark.parametrize("signs", [[1, -1], [1, 1]], ids=["mixed", "all-positive"])
@@ -450,6 +486,48 @@ class TestDecreasingNotion:
         assert set(dec_mixed.values()) == {PASS_AT_RESOLUTION}
 
 
+class TestFgmLaw:
+    """The FGM density is 1 + lambda * prod(1 - 2u_i), so fgm is I-monotone
+    along d iff lambda * (-1)^|pos(d)| >= 0 and D-monotone iff it is <= 0
+    (Nelsen, An Introduction to Copulas, 2nd ed., 2006): a ground truth
+    that needs neither route."""
+
+    CASES = [(n, g, lam) for n, g in [(2, 5), (3, 4), (4, 3), (5, 3), (6, 3)]
+             for lam in (-1.0, -0.3, 0.3, 1.0)]
+
+    @staticmethod
+    def law(lam, d, notion):
+        sign = lam * (-1) ** len(d.pos_idx)
+        return sign >= 0 if notion is Notion.INCREASING else sign <= 0
+
+    @pytest.mark.parametrize("n, g, lam", CASES)
+    def test_both_routes_follow_the_law_under_increasing(self, n, g, lam):
+        spec = CopulaSpec("fgm", n, {"lambda": lam})
+        for v in scan_all_directions(spec, GridSpec(g), method=METHOD_BOTH):
+            law = self.law(lam, v.direction, Notion.INCREASING)
+            assert (v.outcome == PASS_AT_RESOLUTION) is law, v.direction.pretty()
+            # pure directions beyond dim 3 are the oracle's alone
+            assert v.methods_agree is (None if v.direction.is_pure and n > 3 else True)
+
+    # under D the oracle fails its uninformative steps by construction
+    # (ROADMAP item 2, pinned by the strict xfail in test_cli.py), so only
+    # the inequality route is held to the law there; a non-exchangeable
+    # family waits for item 1
+    @pytest.mark.parametrize("n, g, lam", CASES)
+    def test_inequality_follows_the_law_under_decreasing(self, n, g, lam):
+        spec = CopulaSpec("fgm", n, {"lambda": lam})
+        verdicts = scan_all_directions(
+            spec, GridSpec(g), method=METHOD_INEQUALITY, notion=Notion.DECREASING
+        )
+        for v in verdicts:
+            if v.direction.is_pure and n > 3:
+                assert v.outcome == UNSUPPORTED
+            else:
+                assert (v.outcome == PASS_AT_RESOLUTION) is self.law(
+                    lam, v.direction, Notion.DECREASING
+                ), v.direction.pretty()
+
+
 def _scalar_pair_scan(spec, d, g, pair_check):
     """Plain loop over ordered lattice pairs in lexicographic (u, u') order.
 
@@ -516,6 +594,15 @@ class TestScanRechecks:
             assert v.outcome == REFUTED
             assert v.methods_agree is False
         assert scan_direction(spec, passing, GridSpec(9)).methods_agree is True
+
+    @pytest.mark.parametrize("missing", ["target", "axis"])
+    def test_step_without_target_or_axis_is_a_value_error(self, missing):
+        spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        v = scan_direction(spec, make_direction([1, -1]), GridSpec(9), METHOD_ORACLE)
+        cex = v.counterexample
+        assert cex.kind == "step" and recheck_counterexample(spec, cex)
+        with pytest.raises(ValueError, match="target and an axis"):
+            recheck_counterexample(spec, replace(cex, **{missing: None}))
 
 
 def _scalar_oracle_scan(spec, d, g, eps_den=DEFAULT_EPS_DEN, tol=DEFAULT_TOL):

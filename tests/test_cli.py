@@ -86,9 +86,17 @@ class TestParseConfig:
             ["check", "--dim", "2"],
         ],
     )
-    def test_usage_errors(self, argv):
-        with pytest.raises(UsageError):
-            parse_config(argv)
+    def test_usage_errors(self, capsys, argv):
+        # all but the last raise the library's own ValueErrors, the last a UsageError
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("dirmono: error:") and "Traceback" not in captured.err
+
+    def test_missing_family_is_refused_while_parsing(self):
+        with pytest.raises(UsageError, match="--family is required"):
+            parse_config(["check", "--dim", "2"])
 
     def test_unknown_flag_is_usage_error(self):
         result = invoke("check", "--family", "product", "--dim", "2", "--frobnicate")

@@ -5,7 +5,8 @@ keeps every verdict bit for bit.
 
 ROOT is a dirmono checkout (default: the one this file sits in); the
 package is imported from its ``src/`` and the spec zoo from its
-``tests/helpers.py``, and its fixtures are run.  Nothing is written.
+``tests/helpers.py``, and its fixtures are run.  Nothing is written but
+the bad config files of the ``errors`` group, in a temporary directory.
 Run it on two checkouts and compare the lines: a group whose digest
 differs holds a verdict that changed.
 
@@ -19,7 +20,12 @@ Groups:
   verdict of the zoo grid (it reads no ``eps_den``);
 * ``fixtures``: each fixture config run in process through ``cli.main``
   as ``check --config PATH --format json``: its exit code, its stderr and
-  its json report without the ``timing`` block.
+  its json report without the ``timing`` block;
+* ``errors``: the exit code and stderr of ``cli.main`` on each bad input
+  of ``BAD_ARGVS`` (the argvs of ``test_usage_errors`` in
+  ``tests/test_cli.py``) and of ``BAD_CONFIGS`` (the config values of its
+  ``test_malformed_config_value_exits_two``, each in a config file of fgm
+  n=2 lambda 0.5), so that a change can show its error paths unchanged.
 
 The zoo grid is ``family_zoo()`` plus fgm n=5 with lambda -1 and 1, on
 the lattices of 6, 4, 3 and 3 points per axis for n = 2, 3, 4 and 5,
@@ -34,6 +40,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve()
@@ -47,6 +54,30 @@ GRIDS = {2: 6, 3: 4, 4: 3, 5: 3}
 EPS_DENS = (1e-12, 0.05, 0.3)
 TOLS = (1e-9, 1e-3)
 BLOCKS = (1, 2, 7, checker._BLOCK)
+
+_PRODUCT = ["check", "--family", "product", "--dim", "2"]
+BAD_ARGVS = [
+    ["check", "--family", "amh", "--dim", "3", "--delta", "0.5"],
+    ["check", "--family", "w", "--dim", "3"],
+    ["check", "--family", "squircle", "--dim", "2"],
+    ["check", "--family", "fgm", "--dim", "2", "--lambda", "1.5"],
+    ["check", "--family", "fgm", "--dim", "2"],
+    _PRODUCT + ["--direction", "+,?"],
+    _PRODUCT + ["--direction", "+"],
+    _PRODUCT + ["--grid", "1"],
+    _PRODUCT + ["--tol", "0"],
+    _PRODUCT + ["--tol", "inf"],
+    _PRODUCT + ["--tol", "nan"],
+    _PRODUCT + ["--eps-den", "inf"],
+    ["check", "--dim", "2"],
+]
+BAD_CONFIGS = [
+    {"grid": "abc"}, {"grid": 4.5}, {"lambda": "x"}, {"direction": 5}, {"direction": [5]},
+    {"direction": []}, {"dim": 2.7}, {"dim": True}, {"tol": "inf"}, {"eps_den": 1e999},
+    {"all_directions": "no"}, {"out": 5}, {"out": None}, {"direction": None},
+    {"notion": None}, {"method": "fast"}, {"format": 1}, {"family": 5}, {"grid": 1},
+    {"tol": 10**400},
+]
 
 
 def zoo(max_dim: int = 5):
@@ -80,16 +111,43 @@ def inequality_digest() -> str:
     return digest.hexdigest()
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)``: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def fixtures_digest() -> str:
     digest = hashlib.sha256()
     for path in sorted((ROOT / "fixtures").glob("*.json")):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["check", "--config", str(path), "--format", "json"])
-        report = json.loads(out.getvalue()) if out.getvalue() else None
+        code, out, err = run_main(["check", "--config", str(path), "--format", "json"])
+        report = json.loads(out) if out else None
         if report is not None:
             del report["timing"]
-        digest.update(json.dumps([path.name, code, err.getvalue(), report]).encode())
+        digest.update(json.dumps([path.name, code, err, report]).encode())
+    return digest.hexdigest()
+
+
+def error_runs():
+    """(input, exit code, stderr) of every bad input, the config file's
+    path in stderr written as CONFIG."""
+    for argv in BAD_ARGVS:
+        code, _, err = run_main(argv)
+        yield " ".join(argv), code, err
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.json"
+        for bad in BAD_CONFIGS:
+            path.write_text(json.dumps({"family": "fgm", "dim": 2, "lambda": 0.5, **bad}))
+            code, _, err = run_main(["check", "--config", str(path)])
+            yield repr(bad), code, err.replace(str(path), "CONFIG")
+
+
+def errors_digest() -> str:
+    digest = hashlib.sha256()
+    for run in error_runs():
+        digest.update(json.dumps(run).encode())
     return digest.hexdigest()
 
 
@@ -98,6 +156,7 @@ def main() -> None:
         print(f"oracle block={block}", oracle_digest(block), flush=True)
     print("inequality", inequality_digest(), flush=True)
     print("fixtures", fixtures_digest(), flush=True)
+    print("errors", errors_digest(), flush=True)
 
 
 if __name__ == "__main__":
