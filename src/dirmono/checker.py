@@ -14,11 +14,11 @@ direction, both restricted to a finite interior lattice:
 
 Every point either route touches is a lattice point, and F_d is a signed
 sum of margins of C, which are C with some coordinates pinned to 1.  So
-``scan_all_directions`` evaluates C once, on the lattice with 1.0
-appended to every axis (``_copula_table``), and hands that table to
+``scan_all_directions`` evaluates C once, per axis on the lattice's axes
+with 1.0 appended to each (``_copula_table``), and hands that table to
 ``scan_direction``, which reads each direction's F_d, shape (g,)*n, off
 it by slicing and runs the routes on it; the pure single-swap form reads
-the raw copula slice or the survival copula, evaluated on its own since
+the raw copula slice or the survival copula, evaluated per axis too since
 flipping C's table is not bit-exact.  Both routes gather from these n-D
 tables by per-axis ``take``s of the per-axis pairs lo <= hi, with no
 per-pair index vectors.  The oracle takes those pairs as a condition w
@@ -68,9 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionError, Direction, Notion, iter_directions
-from .families import (
-    CopulaSpec, _cdf_array, _signed_sum, _survival_array, cdf, survival_cdf, validate
-)
+from .families import SURVIVAL, CopulaSpec, _cdf_axes, _signed_sum, cdf, survival_cdf, validate
 from .orthant import DEFAULT_EPS_DEN, _orthant_array, conditional_prob
 
 DEFAULT_TOL = 1e-9
@@ -99,6 +97,11 @@ _MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # peak bytes of the inequality route per (u, u') pair: 25.0 to 28.3 under
 # tracemalloc, passing and refuted, at (6,3), (5,4), (4,6), (3,9), (3,15), (2,60)
 _PAIR_PEAK_BYTES = 29
+# peak bytes of a scan's tables per (g+1)^n point (the copula table, F_d, the
+# pairwise table and the oracle's copies of F_d): 2.2 to 8.1 floats under
+# tracemalloc over 12 specs from (2,1000) to (8,5), the most at survival-of amh
+# (2,400); the oracle's blocks add O(_BLOCK)
+_TABLE_PEAK_BYTES = 72
 
 # (condition, join) pairs in one block of the oracle's conditionals;
 # larger blocks gain no speed and raise peak memory
@@ -209,6 +212,7 @@ def check_pair(
     all-negative direction, its survival transform for the all-positive
     one.  Returns None on a pass, otherwise the pair with both sides.
     """
+    validate(spec)
     notion = Notion(notion)
     u = tuple(float(x) for x in u)
     up = tuple(float(x) for x in up)
@@ -241,9 +245,9 @@ def check_pair(
     return None
 
 
-def _lattice(points: np.ndarray, n: int) -> np.ndarray:
-    """Every combination of ``points`` on n axes, shape (m,)*n + (n,)."""
-    return np.stack(np.meshgrid(*[points] * n, indexing="ij", copy=False), axis=-1)
+def _axes(points: np.ndarray, n: int) -> list[np.ndarray]:
+    """``points`` on each of n axes, shaped to broadcast to the (m,)*n lattice."""
+    return [points.reshape((-1,) + (1,) * (n - 1 - k)) for k in range(n)]
 
 
 def _copula_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
@@ -253,11 +257,7 @@ def _copula_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
     of C on the lattice is a slice of this table.
     """
     validate(spec)
-    n = spec.dim
-    table = _cdf_array(spec, _lattice(np.append(grid.points(), 1.0), n))
-    # the empty margin is 1, as _pinned_cdf takes it, whatever C(1, ..., 1)
-    # rounds to
-    table[(grid.resolution,) * n] = 1.0
+    table = _cdf_axes(spec, _axes(np.append(grid.points(), 1.0), spec.dim))
     table.setflags(write=False)
     return table
 
@@ -270,23 +270,28 @@ def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
     def margin(selected: tuple[int, ...]) -> np.ndarray:
         return ctable[tuple(slice(g) if k in selected else slice(g, None) for k in range(n))]
 
-    return _signed_sum(margin, d.neg_idx, d.pos_idx, (g,) * n)
+    return _signed_sum(margin, d.neg_idx, d.pos_idx)
 
 
-def _read_tables(ctable: np.ndarray, d: Direction) -> tuple[np.ndarray, np.ndarray | None]:
-    """F_d, and the table the pairwise form of ``d`` reads, off the copula
-    table.
+def _read_tables(
+    spec: CopulaSpec, grid: GridSpec, ctable: np.ndarray, d: Direction
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """F_d off ``ctable``, the copula table of ``spec`` on ``grid``, and the
+    table the pairwise form of ``d`` reads.
 
     A mixed direction's pairwise form reads F_d, the all-negative one C,
     as the raw slice so that its signed zeros stay.  The all-positive one
-    reads the survival copula, which is evaluated on its own, since
-    flipping C's table is not bit-exact; it comes back as None.
+    reads the survival copula at the lattice points, since flipping C's
+    table is not bit-exact, and None in dim > 3, where it is unsupported.
     """
-    g, n = ctable.shape[0] - 1, ctable.ndim
+    g, n = grid.resolution, spec.dim
     table = _orthant_table(ctable, d)
     if not d.is_pure:
         return table, table
-    return table, ctable[(slice(g),) * n] if d.signs[0] < 0 else None
+    if d.signs[0] < 0:
+        return table, ctable[(slice(g),) * n]
+    survival = CopulaSpec(SURVIVAL, n, inner=spec)
+    return table, _cdf_axes(survival, _axes(grid.points(), n)) if n <= 3 else None
 
 
 def _point(grid: GridSpec, n: int, flat: int) -> tuple[float, ...]:
@@ -310,19 +315,15 @@ def check_direction_inequality(
     (all-negative) or survival copula (all-positive).  Pure directions in
     dim >= 4 come back as unsupported; route those to the oracle.
     ``table`` is that table on the lattice; when not given, it is read
-    off the copula table as ``scan_direction`` reads it, and the survival
-    copula is evaluated here.
+    as ``scan_direction`` reads it.
     """
     _check_direction(spec, d)
     notion = _check_settings(tol, notion)
     if d.is_pure and spec.dim > 3:
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
-    if table is None and not (d.is_pure and d.signs[0] > 0):
-        table = _read_tables(_copula_table(spec, grid), d)[1]
     if table is None:
-        validate(spec)
-        table = _survival_array(spec, _lattice(grid.points(), n))
+        table = _read_tables(spec, grid, _copula_table(spec, grid), d)[1]
     table = table.reshape((g,) * n)
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
@@ -598,7 +599,7 @@ def scan_direction(
     notion = _check_settings(tol, notion, eps_den, method)
     if ctable is None:
         ctable = _copula_table(spec, grid)
-    table, pairwise = _read_tables(ctable, d)
+    table, pairwise = _read_tables(spec, grid, ctable, d)
     ineq = orac = None
     if method != METHOD_ORACLE:
         ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
@@ -649,9 +650,9 @@ def scan_all_directions(
     The spec, the settings (as ``scan_direction`` checks them) and the
     dim of every requested direction are checked first.  A lattice that
     no table can hold is refused before anything is allocated: more axes than an
-    array has, more bytes at the peak of the copula table's build than the
-    machine has memory, or, when the inequality route runs, more at the
-    peak of its pair arrays.  The copula table is built once and handed to
+    array has, more bytes at the peak of the tables than the machine has
+    memory, or, when the inequality route runs, more at the peak of its
+    pair arrays.  The copula table is built once and handed to
     every direction.
     """
     validate(spec)
@@ -664,9 +665,7 @@ def scan_all_directions(
     g, n = grid.resolution, spec.dim
     if n > _MAX_DIM:
         raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
-    # building the copula table peaks at just over 4n + 3 floats per point
-    # for a survival-of family, the most measured, and n + 1 for product
-    if (g + 1) ** n * (4 * n + 4) * 8 > _MEMORY:
+    if (g + 1) ** n * _TABLE_PEAK_BYTES > _MEMORY:
         raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
     pairs = g * (g + 1) // 2
     if method != METHOD_ORACLE and pairs**n * _PAIR_PEAK_BYTES > _MEMORY:

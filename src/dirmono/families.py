@@ -1,9 +1,13 @@
 """Closed-form copula families and the survival (reflection) transform.
 
-All evaluators accept either a single point (sequence of ``dim`` floats)
-or an ndarray whose last axis has length ``dim``; they return a float for
-a single point and an ndarray otherwise.  Specs are immutable; evaluation
-is pure.
+The public evaluators validate the spec and accept either a single point
+(sequence of ``dim`` floats) or an ndarray whose last axis has length
+``dim``; they return a float for a single point and an ndarray otherwise.
+Specs are immutable; evaluation is pure.
+
+One function, ``_cdf_axes``, evaluates every family on per-axis
+coordinates that broadcast together, with 1.0 pinning an axis; survival
+evaluates each margin of its inner copula only on the axes it keeps.
 
 Families:
 
@@ -23,9 +27,10 @@ Families:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,14 +132,15 @@ def validate(spec: CopulaSpec) -> None:
 def cdf(spec: CopulaSpec, u) -> float | np.ndarray:
     """Copula value at ``u`` (scalar point or array of points).
 
-    Only the dimension of ``u`` is checked here; callers are expected to
-    supply coordinates in [0, 1].
+    The spec is validated and the dimension of ``u`` checked; callers are
+    expected to supply coordinates in [0, 1].
     """
     return _value(_cdf_array(spec, _points(spec, u)))
 
 
 def _points(spec: CopulaSpec, u) -> np.ndarray:
     """``u`` as a float array whose last axis holds ``spec.dim`` coordinates."""
+    validate(spec)
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != spec.dim:
         raise DimensionError(
@@ -150,28 +156,40 @@ def _value(out: np.ndarray) -> float | np.ndarray:
 
 
 def _cdf_array(spec: CopulaSpec, arr: np.ndarray) -> np.ndarray:
+    """C at points whose last axis holds the ``spec.dim`` coordinates."""
+    return _cdf_axes(spec, [arr[..., k] for k in range(spec.dim)])
+
+
+def _cdf_axes(spec: CopulaSpec, xs: Sequence) -> np.ndarray:
+    """C at ``xs``, one array or float per axis, broadcast together; each family
+    combines them left to right, as a reduction over a point array's last axis does."""
     if spec.family == PRODUCT:
-        return np.prod(arr, axis=-1)
+        return math.prod(xs)
     if spec.family == UPPER_FRECHET:
-        return np.min(arr, axis=-1)
+        return functools.reduce(np.minimum, xs)
     if spec.family == LOWER_FRECHET:
-        return np.maximum(0.0, arr[..., 0] + arr[..., 1] - 1.0)
+        return np.maximum(0.0, xs[0] + xs[1] - 1.0)
     if spec.family == FGM:
         lam = spec.params["lambda"]
-        return np.prod(arr, axis=-1) * (1.0 + lam * np.prod(1.0 - arr, axis=-1))
+        return math.prod(xs) * (1.0 + lam * math.prod(1.0 - x for x in xs))
     if spec.family == AMH:
         delta = spec.params["delta"]
-        un, vn = arr[..., 0], arr[..., 1]
+        un, vn = xs
         num = un * vn
         den = 1.0 + delta * (1.0 - un) * (1.0 - vn)
         # delta = -1 makes the corner u = v = 0 a removable 0/0; the value is 0
         return np.where(num == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
     if spec.family == CONVEX_PI_M:
         theta = spec.params["theta"]
-        return theta * np.prod(arr, axis=-1) + (1.0 - theta) * np.min(arr, axis=-1)
+        return theta * math.prod(xs) + (1.0 - theta) * functools.reduce(np.minimum, xs)
     if spec.family == SURVIVAL:
-        assert spec.inner is not None
-        return _survival_array(spec.inner, arr)
+        flipped = [1.0 - x for x in xs]
+
+        def margin(selected: tuple[int, ...]) -> np.ndarray:
+            kept = [flipped[k] if k in selected else 1.0 for k in range(spec.dim)]
+            return _cdf_axes(spec.inner, kept)
+
+        return _signed_sum(margin, (), range(spec.dim))
     raise ParameterError(f"unknown copula family {spec.family!r}")
 
 
@@ -182,34 +200,22 @@ def survival_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
     S-marginal of the copula evaluated at 1-u on S (everything else
     integrated out); for n=2 this reduces to u + v - 1 + C(1-u, 1-v).
     """
-    return _value(_survival_array(spec, _points(spec, u)))
-
-
-def _survival_array(spec: CopulaSpec, arr: np.ndarray) -> np.ndarray:
-    margin = partial(_pinned_cdf, spec, arr=1.0 - arr)
-    return _signed_sum(margin, (), range(spec.dim), arr.shape[:-1])
+    return _value(_cdf_array(CopulaSpec(SURVIVAL, spec.dim, inner=spec), _points(spec, u)))
 
 
 def _pinned_cdf(spec: CopulaSpec, selected: Sequence[int], arr: np.ndarray) -> np.ndarray:
     """Copula at ``arr`` with the coordinates outside ``selected`` (distinct
-    valid indices) pinned to 1; the empty selection gives ones."""
-    if len(selected) == spec.dim:
-        return _cdf_array(spec, arr)
-    if not selected:
-        return np.ones(arr.shape[:-1])
-    point = np.ones_like(arr)
-    for i in selected:
-        point[..., i] = arr[..., i]
-    return _cdf_array(spec, point)
+    valid indices) pinned to 1; C(1, ..., 1) is exactly 1 in every family."""
+    return _cdf_array(spec, np.where([k in selected for k in range(spec.dim)], arr, 1.0))
 
 
 def _signed_sum(
-    margin: Callable[[tuple[int, ...]], np.ndarray], fixed: tuple, free: Sequence[int], shape: tuple
+    margin: Callable[[tuple[int, ...]], np.ndarray], fixed: tuple, free: Sequence[int]
 ) -> np.ndarray:
-    """Sum, of the given shape, over subsets S of ``free`` of (-1)**|S|
-    times ``margin(fixed + S)``: the copula with every coordinate outside
-    ``fixed`` and S pinned to 1."""
-    total = np.zeros(shape)
+    """Sum over subsets S of ``free`` of (-1)**|S| times ``margin(fixed + S)``:
+    the copula with every coordinate outside ``fixed`` and S pinned to 1;
+    the last margin, on ``fixed`` and all of ``free``, sets the shape."""
+    total = 0.0
     for size in range(len(free) + 1):
         sign = -1.0 if size % 2 else 1.0
         for subset in itertools.combinations(free, size):

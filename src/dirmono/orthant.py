@@ -55,7 +55,7 @@ def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
 
 
 def _orthant_array(spec: CopulaSpec, d: Direction, arr: np.ndarray) -> np.ndarray:
-    return _signed_sum(partial(_pinned_cdf, spec, arr=arr), d.neg_idx, d.pos_idx, arr.shape[:-1])
+    return _signed_sum(partial(_pinned_cdf, spec, arr=arr), d.neg_idx, d.pos_idx)
 
 
 def conditional_prob(

@@ -10,9 +10,18 @@ from itertools import product
 from math import prod
 from typing import Callable, Sequence
 
+import numpy as np
+
 from dirmono import CopulaSpec, DimensionError, cdf
 
 Point = tuple[float, ...]
+
+
+def lattice(points, n):
+    """Every combination of ``points`` on n axes as an array of points, shape
+    (m,)*n + (n,): the reference the package's per-axis tables are compared
+    with."""
+    return np.stack(np.meshgrid(*[points] * n, indexing="ij"), axis=-1)
 
 
 def bf_orthant(point_fn, signs, v):

@@ -33,10 +33,10 @@ from dirmono import (
     scan_all_directions,
     scan_direction,
 )
-from dirmono import checker, families
+from dirmono import checker, families, survival_cdf
 from dirmono.checker import DEFAULT_TOL, Counterexample
 from dirmono.orthant import DEFAULT_EPS_DEN, _orthant_array
-from helpers import family_zoo
+from helpers import family_zoo, lattice
 
 
 def pass_set(verdicts):
@@ -75,20 +75,70 @@ class TestGridSpec:
         assert GridSpec.default_resolution(5) == 4
 
 
+def _assert_tables_match_points(spec, g):
+    # compared as bytes, so that a changed last bit or sign of zero shows:
+    # the per-axis tables against the evaluators at the lattice's points
+    grid = GridSpec(g)
+    ctable = checker._copula_table(spec, grid)
+    points = lattice(grid.points(), spec.dim)
+    raw = ctable[(slice(g),) * spec.dim]
+    assert raw.tobytes() == families._cdf_array(spec, points).tobytes()
+    # the empty margin, which every all-positive F_d reads
+    assert ctable[(g,) * spec.dim] == 1.0
+    for d in all_directions(spec.dim):
+        read, pairwise = checker._read_tables(spec, grid, ctable, d)
+        direct = _orthant_array(spec, d, points)
+        assert read.tobytes() == direct.tobytes(), (spec.describe(), d.pretty())
+        if d.is_pure and d.signs[0] > 0 and spec.dim <= 3:
+            assert pairwise.tobytes() == survival_cdf(spec, points).tobytes(), spec.describe()
+
+
+def _survival_of(spec):
+    return CopulaSpec("survival", spec.dim, inner=spec)
+
+
 class TestCopulaTable:
     @pytest.mark.parametrize("g", [2, 3, 5])
     def test_tables_match_direct_evaluation_bit_for_bit(self, g):
-        # compared as bytes, so that a changed last bit or sign of zero shows
-        grid = GridSpec(g)
         for spec in family_zoo():
-            ctable = checker._copula_table(spec, grid)
-            lattice = checker._lattice(grid.points(), spec.dim)
-            raw = ctable[(slice(g),) * spec.dim]
-            assert raw.tobytes() == families._cdf_array(spec, lattice).tobytes()
-            for d in all_directions(spec.dim):
-                read = checker._orthant_table(ctable, d)
-                direct = _orthant_array(spec, d, lattice)
-                assert read.tobytes() == direct.tobytes(), (spec.describe(), d.pretty())
+            _assert_tables_match_points(spec, g)
+
+    @pytest.mark.parametrize(
+        "spec, g",
+        [
+            (CopulaSpec("fgm", 6, {"lambda": -0.5}), 3),
+            (CopulaSpec("fgm", 8, {"lambda": 1.0}), 2),
+            (_survival_of(CopulaSpec("fgm", 4, {"lambda": 0.5})), 3),
+            (_survival_of(CopulaSpec("convexpim", 4, {"theta": 0.5})), 2),
+            (_survival_of(CopulaSpec("fgm", 6, {"lambda": -1.0})), 2),
+        ],
+        ids=["fgm6-g3", "fgm8-g2", "survival-fgm4-g3", "survival-convexpim4-g2",
+             "survival-fgm6-g2"],
+    )
+    def test_high_dim_tables_match_direct_evaluation_bit_for_bit(self, spec, g):
+        _assert_tables_match_points(spec, g)
+
+    @pytest.mark.parametrize(
+        "spec, g",
+        [
+            (_survival_of(CopulaSpec("fgm", 5, {"lambda": 0.5})), 6),
+            (_survival_of(CopulaSpec("amh", 2, {"delta": -1.0})), 200),
+            (CopulaSpec("fgm", 6, {"lambda": 0.5}), 5),
+        ],
+        ids=["survival-fgm5-g6", "survival-amh2-g200", "fgm6-g5"],
+    )
+    def test_build_peaks_below_eight_floats_per_point(self, spec, g):
+        # each margin is evaluated on the axes it keeps, with no array of
+        # lattice coordinates: survival-of fgm (5,6) used to peak at about
+        # 4n + 3 floats per point, and fgm (6,5) at 2n + 2
+        checker._copula_table(spec, GridSpec(g))
+        tracemalloc.start()
+        try:
+            checker._copula_table(spec, GridSpec(g))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * (g + 1) ** spec.dim
 
 
 class TestPairChecks:
@@ -255,28 +305,28 @@ class TestScans:
 
     def test_both_routes_share_one_table_per_direction(self, monkeypatch):
         # one F_d per direction for both routes, all read off one copula
-        # table per scan, evaluated in one call on the lattice; the scalar
-        # recheck evaluates single points and pair corners
+        # table per scan, evaluated in one call on the lattice's axes; the
+        # scalar recheck evaluates single points and pair corners
         read, tables = checker._orthant_table, Counter()
-        evaluate, lattices = families._cdf_array, []
+        evaluate, shapes = families._cdf_axes, Counter()
 
         def counted_read(ctable, d):
             tables[d] += 1
             return read(ctable, d)
 
-        def counted_evaluate(spec, arr):
-            if arr.ndim == spec.dim + 1:
-                lattices.append(arr.shape)
-            return evaluate(spec, arr)
+        def counted_evaluate(spec, xs):
+            shapes[np.broadcast_shapes(*map(np.shape, xs))] += 1
+            return evaluate(spec, xs)
 
         monkeypatch.setattr(checker, "_orthant_table", counted_read)
-        monkeypatch.setattr(checker, "_cdf_array", counted_evaluate)
-        monkeypatch.setattr(families, "_cdf_array", counted_evaluate)
+        monkeypatch.setattr(checker, "_cdf_axes", counted_evaluate)
+        monkeypatch.setattr(families, "_cdf_axes", counted_evaluate)
         spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
         verdicts = scan_all_directions(spec, GridSpec(4), method=METHOD_BOTH)
         assert set(tables) == {v.direction for v in verdicts}
         assert sum(tables.values()) == len(verdicts) == 16
-        assert lattices == [(5, 5, 5, 5, 4)]
+        assert shapes[(5,) * 4] == 1
+        assert all(len(shape) <= 1 for shape in shapes if shape != (5,) * 4)
 
     def test_no_copula_table_outlives_its_scan(self, monkeypatch):
         # a table of (g+1)^n points must not stay allocated once the
@@ -349,7 +399,7 @@ class TestScans:
     @pytest.mark.parametrize("signs", [[1, -1], [1, 1], [-1, -1]], ids=["mixed", "+", "-"])
     def test_direct_calls_refuse_settings_before_any_table(self, monkeypatch, kwargs, signs):
         monkeypatch.setattr(checker, "_copula_table", None)
-        monkeypatch.setattr(checker, "_lattice", None)
+        monkeypatch.setattr(checker, "_cdf_axes", None)
         spec, d = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction(signs)
         checks = [scan_direction, check_direction_oracle]
         if "eps_den" not in kwargs:

@@ -361,27 +361,27 @@ class TestExitCodes:
             ("70", "3", "64 axes"),
             ("30", "3", "4^30 points"),
             ("24", "2", "3^24 points"),
-            ("14", "2", "3^14 points"),
+            ("16", "2", "3^16 points"),
             ("3", "40", "820^3 pairs"),
         ],
-        ids=["100000000000000000000", "70", "30", "24", "14", "3"],
+        ids=["100000000000000000000", "70", "30", "24", "16", "3"],
     )
     def test_lattice_no_table_can_hold_exits_two(self, monkeypatch, capsys, dim, grid, shown):
         # refused before any direction or lattice point is built, on a
         # machine of 768 MiB: numpy arrays have at most 64 axes, 10^20
         # overflows itertools, 2^30 directions of 3^30 lattice points each
-        # would never finish, and the copula table of 3^24 points, with 1.0
-        # appended to both grid points of each axis, has 24 coordinates per
-        # point (2^24 lattice points alone would be fewer).  The 3^14 x 14
-        # coordinates take 510 MiB, but the table's build is charged 4n + 4
-        # floats per point, 2.1 GiB; the inequality route's 820^3 pairs at
+        # would never finish, and the copula table, with 1.0 appended to
+        # both grid points of each axis, has 3^24 points (the 2^24 lattice
+        # points alone would be fewer).  The copula table of 3^16
+        # points alone takes 328 MiB, but a scan's tables are charged 72
+        # bytes per point, 2.9 GiB; the inequality route's 820^3 pairs at
         # (3,40) would take over 17 GiB, from a copula table of 1.6 MiB
         def built(*args, **kwargs):
             raise AssertionError("built before the lattice was checked")
 
         monkeypatch.setattr(checker, "_MEMORY", 768 << 20)
         monkeypatch.setattr(checker, "iter_directions", built)
-        monkeypatch.setattr(checker, "_lattice", built)
+        monkeypatch.setattr(checker, "_cdf_axes", built)
         assert main(["check", "--family", "product", "--dim", dim, "--grid", grid]) == 2
         err = capsys.readouterr().err
         assert err.startswith("dirmono: error:") and f"dim {dim}" in err

@@ -6,6 +6,10 @@ from dirmono import (
     DimensionError,
     ParameterError,
     cdf,
+    check_pair,
+    make_direction,
+    marginal_cdf,
+    orthant_prob,
     survival_cdf,
     validate,
 )
@@ -67,6 +71,34 @@ class TestValidate:
             validate(CopulaSpec("survival", 2))
         with pytest.raises(DimensionError):
             validate(CopulaSpec("survival", 3, inner=inner))
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            cdf,
+            survival_cdf,
+            lambda spec, u: marginal_cdf(spec, [0], u),
+            lambda spec, u: orthant_prob(spec, make_direction([1] + [-1] * (spec.dim - 1)), u),
+            lambda spec, u: check_pair(spec, make_direction([1] + [-1] * (spec.dim - 1)), u, u),
+        ],
+        ids=["cdf", "survival_cdf", "marginal_cdf", "orthant_prob", "check_pair"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CopulaSpec("amh", 3, {"delta": 0.5}),
+            CopulaSpec("w", 3),
+            CopulaSpec("fgm", 2, {"lambda": 5.0}),
+            CopulaSpec("fgm", 2),
+            CopulaSpec("survival", 2),
+        ],
+        ids=["amh-n3", "w-n3", "fgm-lambda-5", "fgm-no-lambda", "survival-no-inner"],
+    )
+    def test_point_evaluators_refuse_invalid_specs(self, evaluate, spec):
+        # each would otherwise give a number for a spec that is no copula,
+        # or fail with a KeyError or an AssertionError
+        with pytest.raises((ParameterError, DimensionError)):
+            evaluate(spec, [0.5] * spec.dim)
 
     def test_zoo_is_valid(self):
         for spec in family_zoo():

@@ -18,6 +18,10 @@ Groups:
   where a block of one pair takes half a second per verdict;
 * ``inequality``: the ``repr`` of every ``check_direction_inequality``
   verdict of the zoo grid (it reads no ``eps_den``);
+* ``tables``: the bytes of ``checker._copula_table``, of every
+  direction's ``checker._orthant_table`` read off it, and of
+  ``survival_cdf`` at the lattice points, for every spec of the zoo grid
+  and survival-of fgm n=6 on the lattice of 3 points per axis;
 * ``fixtures``: each fixture config run in process through ``cli.main``
   as ``check --config PATH --format json``: its exit code, its stderr and
   its json report without the ``timing`` block;
@@ -43,14 +47,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from dirmono import CopulaSpec, checker, cli  # noqa: E402
+from dirmono import CopulaSpec, checker, cli, survival_cdf  # noqa: E402
 from dirmono.core import Notion, all_directions  # noqa: E402
 from helpers import family_zoo  # noqa: E402
 
-GRIDS = {2: 6, 3: 4, 4: 3, 5: 3}
+GRIDS = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
 EPS_DENS = (1e-12, 0.05, 0.3)
 TOLS = (1e-9, 1e-3)
 BLOCKS = (1, 2, 7, checker._BLOCK)
@@ -80,9 +86,12 @@ BAD_CONFIGS = [
 ]
 
 
+def zoo_specs() -> list[CopulaSpec]:
+    return family_zoo() + [CopulaSpec("fgm", 5, {"lambda": lam}) for lam in (-1.0, 1.0)]
+
+
 def zoo(max_dim: int = 5):
-    specs = family_zoo() + [CopulaSpec("fgm", 5, {"lambda": lam}) for lam in (-1.0, 1.0)]
-    for spec in (s for s in specs if s.dim <= max_dim):
+    for spec in (s for s in zoo_specs() if s.dim <= max_dim):
         grid = checker.GridSpec(GRIDS[spec.dim])
         for d in all_directions(spec.dim):
             for notion in Notion:
@@ -108,6 +117,20 @@ def inequality_digest() -> str:
     for spec, d, grid, notion, tol in zoo():
         v = checker.check_direction_inequality(spec, d, grid, tol, notion)
         digest.update(repr(v).encode())
+    return digest.hexdigest()
+
+
+def tables_digest() -> str:
+    digest = hashlib.sha256()
+    fgm6 = CopulaSpec("fgm", 6, {"lambda": 0.5})
+    for spec in zoo_specs() + [CopulaSpec("survival", 6, inner=fgm6)]:
+        grid = checker.GridSpec(GRIDS[spec.dim])
+        ctable = checker._copula_table(spec, grid)
+        digest.update(ctable.tobytes())
+        for d in all_directions(spec.dim):
+            digest.update(checker._orthant_table(ctable, d).tobytes())
+        axes = np.meshgrid(*[grid.points()] * spec.dim, indexing="ij")
+        digest.update(survival_cdf(spec, np.stack(axes, axis=-1)).tobytes())
     return digest.hexdigest()
 
 
@@ -155,6 +178,7 @@ def main() -> None:
     for block in BLOCKS:
         print(f"oracle block={block}", oracle_digest(block), flush=True)
     print("inequality", inequality_digest(), flush=True)
+    print("tables", tables_digest(), flush=True)
     print("fixtures", fixtures_digest(), flush=True)
     print("errors", errors_digest(), flush=True)
 
