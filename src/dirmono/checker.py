@@ -34,8 +34,9 @@ walks its lead axis one join j at a time, from the last, and the
 conditions of a join from the largest, so that a lead-axis step reads
 the next row of its block, the first row of the join's previous block,
 or, from the diagonal (j, j), the diagonal row (j+1, j+1) kept from the
-join before.  The walk only decides, and keeps the rows that hold a
-violation and can hold the first; a locate step re-evaluates only those.
+join before.  The walk only decides, keeping the maximum slack; when it
+exceeds tol, a locate step applies the definition to chunks of targets in
+lattice order, reading F_d at each target's join with every condition.
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: they evaluate
 F_d at single points as the signed sum of margins (``_orthant_array``),
@@ -53,8 +54,10 @@ Scans evaluate every pair (no short-circuit) so that slack statistics
 are always complete; the reported counterexample is the first violation
 in lexicographic order of the concatenated pair coordinates (inequality)
 or of the flat (target, earlier condition, axis) indices (oracle), which
-keeps results deterministic and independent of block size; neither
-scan builds a key for every pair to find it.
+keeps results deterministic and independent of block size.  Both find
+it after the scan: the inequality route axis by axis in its slack
+array, the oracle's locate step at the first violating target, which it
+reaches in lattice order.
 """
 
 from __future__ import annotations
@@ -273,11 +276,11 @@ def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
     return _signed_sum(margin, d.neg_idx, d.pos_idx)
 
 
-def _read_tables(
-    spec: CopulaSpec, grid: GridSpec, ctable: np.ndarray, d: Direction
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """F_d off ``ctable``, the copula table of ``spec`` on ``grid``, and the
-    table the pairwise form of ``d`` reads.
+def _pairwise_table(
+    spec: CopulaSpec, grid: GridSpec, ctable: np.ndarray, d: Direction, table: np.ndarray
+) -> np.ndarray | None:
+    """The table the pairwise form of ``d`` reads, given ``ctable``, the
+    copula table of ``spec`` on ``grid``, and ``table``, F_d read off it.
 
     A mixed direction's pairwise form reads F_d, the all-negative one C,
     as the raw slice so that its signed zeros stay.  The all-positive one
@@ -285,18 +288,12 @@ def _read_tables(
     table is not bit-exact, and None in dim > 3, where it is unsupported.
     """
     g, n = grid.resolution, spec.dim
-    table = _orthant_table(ctable, d)
     if not d.is_pure:
-        return table, table
+        return table
     if d.signs[0] < 0:
-        return table, ctable[(slice(g),) * n]
+        return ctable[(slice(g),) * n]
     survival = CopulaSpec(SURVIVAL, n, inner=spec)
-    return table, _cdf_axes(survival, _axes(grid.points(), n)) if n <= 3 else None
-
-
-def _point(grid: GridSpec, n: int, flat: int) -> tuple[float, ...]:
-    """The lattice point with flat (row-major) index ``flat``."""
-    return tuple(grid.points()[list(np.unravel_index(flat, (grid.resolution,) * n))])
+    return _cdf_axes(survival, _axes(grid.points(), n)) if n <= 3 else None
 
 
 def check_direction_inequality(
@@ -323,7 +320,8 @@ def check_direction_inequality(
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
     if table is None:
-        table = _read_tables(spec, grid, _copula_table(spec, grid), d)[1]
+        ctable = _copula_table(spec, grid)
+        table = _pairwise_table(spec, grid, ctable, d, _orthant_table(ctable, d))
     table = table.reshape((g,) * n)
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
@@ -404,8 +402,10 @@ def check_direction_oracle(
     target, paired with every defined condition that steps to a defined
     condition, along every axis; it is counted before the walk.
 
-    The walk only decides; a locate step re-evaluates, each once at most
-    and by least key, the violating rows that can hold the first violation.
+    The walk only decides, by the maximum slack.  On a refutation a locate
+    step applies the definition to chunks of targets in lattice order: the
+    first True of a chunk's (target, condition, axis) violations in C order
+    is the counterexample, each quotient the walk's division of its operands.
     """
     _check_direction(spec, d)
     notion = _check_settings(tol, notion, eps_den)
@@ -451,55 +451,31 @@ def check_direction_oracle(
             z, w = z.take(hi, axis=k - 1), w.take(lo, axis=k)
         return (z / w).reshape((1,) * lead + (i1 - i0,) + (pairs,) * tail)
 
-    def oriented(lhs: np.ndarray, rhs: np.ndarray):
-        # the comparison in the notion's order, and its slack
-        if notion is Notion.DECREASING:
-            lhs, rhs = rhs, lhs
-        slack = lhs - rhs
+    def oriented(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # the slack of a comparison in the notion's order
+        slack = rhs - lhs if notion is Notion.DECREASING else lhs - rhs
         if some_undefined:
             # an undefined comparison is neither a maximum nor a violation
             slack = np.where(np.isnan(slack), -np.inf, slack)
-        return lhs, rhs, slack
+        return slack
 
     def compare_block(head: tuple, i0: int, i1: int, j: int, block: np.ndarray, following):
-        # each comparison of rows i0:i1 of join j, whose next row along lead is
-        # ``following``: the axis, the lead pairs compared, lhs, rhs and slack
-        ids = pair[i0:i1, j]
+        # the slack of each comparison of rows i0:i1 of join j, whose next row
+        # along lead is ``following``
         for k, a in enumerate(head):
             # a step before lead leaves the block: compute its neighbour
             if a < len(nxt):
-                rhs = quotient(head[:k] + (nxt[a],) + head[k + 1 :], i0, i1, j)
-                yield (k, ids) + oriented(block, rhs)
+                yield oriented(block, quotient(head[:k] + (nxt[a],) + head[k + 1 :], i0, i1, j))
         rhs = block[at + (slice(1, None),)]
         if following is not None:
-            yield (lead, ids) + oriented(block, np.concatenate([rhs, following], axis=lead))
+            yield oriented(block, np.concatenate([rhs, following], axis=lead))
         elif i1 - i0 > 1:
-            yield (lead, ids[:-1]) + oriented(block[at + (slice(-1),)], rhs)
+            yield oriented(block[at + (slice(-1),)], rhs)
         for k in range(lead + 1, n):
-            lhs = block[(slice(None),) * k + (slice(pairs - 1),)]
-            yield (k, ids) + oriented(lhs, block.take(nxt, axis=k))
+            yield oriented(block[(slice(None),) * k + (slice(pairs - 1),)], block.take(nxt, axis=k))
 
-    # the key of a pair is the lattice index of the smallest target that
-    # joins its condition to its join, times g^n, plus the condition's
-    # index, in the lattice's own coordinates; summed over the axes, with
-    # the lattice's strides, the keys give p * g^n + q
-    keys = []
-    for k, s in enumerate(d.signs):
-        w, z = (lo, hi) if s > 0 else (g - 1 - lo, g - 1 - hi)
-        keys.append((np.where(lo == hi, 0 if s > 0 else w, z) * total + w) * g ** (n - 1 - k))
-    # the keys of every combination of pairs after lead
-    tail_key = np.zeros((), dtype=keys[0].dtype)
-    for key in keys[lead + 1 :]:
-        tail_key = np.add.outer(tail_key, key)
-
-    # the walk keeps the maximum slack and each run of violating rows of a
-    # block, with its least key; a run starts and ends where ``hit``, padded
-    # with False, changes.  A row's keys are at most ``spread`` above its
-    # least, so runs whose least exceeds ``upper`` are dropped
-    max_slack, upper, found, limit = -np.inf, np.inf, [], 64
-    spread = int(tail_key.max() - tail_key.min())
+    max_slack = -np.inf  # the walk only decides
     for head in np.ndindex((pairs,) * lead):
-        head_key = sum(int(keys[k][a]) for k, a in enumerate(head)) + int(tail_key.min())
         # the diagonal row of the join before; the last join's has no step
         diagonal_row = None
         for j in range(g - 1, -1, -1):
@@ -507,63 +483,61 @@ def check_direction_oracle(
             following = diagonal_row
             for i1 in range(j + 1, 0, -run):
                 i0 = max(i1 - run, 0)
-                block, hit = quotient(head, i0, i1, j), None
-                for _, ids, _, _, slack in compare_block(head, i0, i1, j, block, following):
-                    max_slack = max(max_slack, local_max := float(slack.max()))
-                    if local_max > tol:
-                        hit = np.zeros(i1 - i0 + 2, dtype=bool) if hit is None else hit
-                        hit[1 : ids.size + 1] |= slack.reshape(ids.size, -1).max(axis=1) > tol
-                    del slack, _  # freed before the next comparison is computed
-                if hit is not None:
-                    edges = i0 + np.flatnonzero(hit[1:] != hit[:-1])
-                    for r0, r1 in edges.reshape(-1, 2).tolist():
-                        least = head_key + int(keys[lead][pair[r0:r1, j]].min())
-                        upper = min(upper, least + spread)
-                        found.append((least, head, j, r0, r1))
-                if len(found) > limit:
-                    found = [f for f in found if f[0] <= upper]
-                    limit = 2 * len(found) + 64
+                block = quotient(head, i0, i1, j)
+                for slack in compare_block(head, i0, i1, j, block, following):
+                    max_slack = max(max_slack, float(slack.max()))
+                    del slack  # freed before the next comparison is computed
                 # copied, so that the rest of the block can be freed
                 if i1 == j + 1:
                     diagonal_row = block[at + (slice(-1, None),)].copy()
                 following = block[at + (slice(1),)].copy()
-    if not found:
+    del block, following, diagonal_row  # the walk's rows, freed before the locate step
+    if not max_slack > tol:
         return DirectionVerdict(d, METHOD_ORACLE, PASS_AT_RESOLUTION, comparisons, max_slack, None)
 
-    # the locate step re-evaluates the runs by their least key, until that
-    # exceeds the first violation in (target, earlier condition, axis) order
-    first: tuple[int, float, float] | None = None
-    for least, head, j, i0, i1 in sorted(found):
-        if first is not None and least * n > first[0]:
-            break
-        # the row after the run's last: the next condition, or the next diagonal
-        following = quotient(head, i1, i1 + 1, j + (i1 > j)) if i1 < g else None
-        block = quotient(head, i0, i1, j)
-        for k, ids, lhs, rhs, slack in compare_block(head, i0, i1, j, block, following):
-            after = (slice(None),) * (k - lead - 1) + (slice(pairs - 1),) if k > lead else ()
-            key = sum(int(keys[m][a]) for m, a in enumerate(head)) + keys[lead][ids]
-            key = (key.reshape((-1,) + (1,) * tail) + tail_key[after]).reshape(slack.shape)
-            key[slack <= tol] = np.iinfo(key.dtype).max
-            i = int(key.argmin())
-            key_k = int(key.flat[i]) * n + k
-            if slack.flat[i] > tol and (first is None or key_k < first[0]):
-                first = (key_k, float(lhs.flat[i]), float(rhs.flat[i]))
+    # the locate step, on chunks of 1, 2, 4, ... targets, up to _BLOCK pairs
+    shape, flat_table, divisor = (g,) * n, table.ravel(), den[flip]
+    # per axis, the oriented table's flat offset of each lattice index
+    per_axis = zip(_axes(np.arange(g), n), d.signs)
+    axes = [a[::s] * g ** (n - 1 - k) for k, (a, s) in enumerate(per_axis)]
 
-    key, lhs_val, rhs_val = first
-    p, rest = divmod(key, total * n)
-    q, k = divmod(rest, n)
-    q_later = q + g ** (n - 1 - k) * d.signs[k]
-    earlier_pt, later_pt = _point(grid, n, q), _point(grid, n, q_later)
-    low_pt, high_pt = (earlier_pt, later_pt) if k in d.pos_idx else (later_pt, earlier_pt)
+    def conditionals(p0: int, p1: int) -> np.ndarray:
+        # the conditional of each target p0:p1 at every condition, both in
+        # lattice order: F_d at their join over F_d at the condition
+        targets = np.unravel_index(np.arange(p0, p1).reshape((-1,) + (1,) * n), shape)
+        return flat_table[sum(np.maximum(a, a.ravel()[v]) for a, v in zip(axes, targets))] / divisor
+
+    def violations(p0: int, p1: int) -> np.ndarray:
+        # for the targets p0:p1, whether each condition and its step along
+        # each axis violate
+        conditional = conditionals(p0, p1)
+        violating = np.zeros(conditional.shape + (n,), dtype=bool)
+        for k, s in enumerate(d.signs):
+            # the conditions that step along k, and their steps
+            parts = (slice(None),) * (k + 1)
+            earlier, later = (parts + (slice(-1),), parts + (slice(1, None),))[::s]
+            violating[earlier + (..., k)] = oriented(conditional[earlier], conditional[later]) > tol
+        return violating
+
+    p0, size = 0, 1
+    while not (violating := violations(p0, min(p0 + size, total))).any():
+        p0, size = p0 + size, min(2 * size, max(1, _BLOCK // total))
+        assert p0 < total, "the locate step found no violation that the walk found"
+    t, *earlier, k = map(int, np.unravel_index(violating.argmax(), violating.shape))
+    later = [e + d.signs[k] * (m == k) for m, e in enumerate(earlier)]
+    conditional = conditionals(p0 + t, p0 + t + 1)[0]
+    sides = [float(conditional[tuple(i)]) for i in (earlier, later)]
+    lhs_val, rhs_val = sides[::-1] if notion is Notion.DECREASING else sides
+    low, high, points = *sorted([earlier, later]), grid.points()  # they differ on axis k
     cex = Counterexample(
         d,
-        low_pt,
-        high_pt,
+        tuple(points[low]),
+        tuple(points[high]),
         lhs_val,
         rhs_val,
         lhs_val - rhs_val,
         kind="step",
-        target=_point(grid, n, p),
+        target=tuple(points[list(np.unravel_index(p0 + t, shape))]),
         axis=k,
     )
     return DirectionVerdict(d, METHOD_ORACLE, REFUTED, comparisons, max_slack, cex)
@@ -599,9 +573,10 @@ def scan_direction(
     notion = _check_settings(tol, notion, eps_den, method)
     if ctable is None:
         ctable = _copula_table(spec, grid)
-    table, pairwise = _read_tables(spec, grid, ctable, d)
+    table = _orthant_table(ctable, d)
     ineq = orac = None
     if method != METHOD_ORACLE:
+        pairwise = _pairwise_table(spec, grid, ctable, d, table)
         ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
     if method != METHOD_INEQUALITY:
         orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
@@ -648,18 +623,22 @@ def scan_all_directions(
     """Verdicts for every requested direction (default: all 2^n of them).
 
     The spec, the settings (as ``scan_direction`` checks them) and the
-    dim of every requested direction are checked first.  A lattice that
-    no table can hold is refused before anything is allocated: more axes than an
-    array has, more bytes at the peak of the tables than the machine has
-    memory, or, when the inequality route runs, more at the peak of its
-    pair arrays.  The copula table is built once and handed to
-    every direction.
+    dim of every requested direction are checked first, and a direction
+    requested twice is refused.  A lattice that no table can hold is
+    refused before anything is allocated: more axes than an array has,
+    more bytes at the peak of the tables than the machine has memory, or,
+    when the inequality route runs, more at the peak of its pair arrays.
+    The copula table is built once and handed to every direction.
     """
     validate(spec)
     notion = _check_settings(tol, notion, eps_den, method)
     if directions is not None:
+        seen = set()
         for d in directions:
             _check_direction(spec, d)
+            if d in seen:
+                raise ValueError(f"direction {d.token()} is requested more than once")
+            seen.add(d)
         if not directions:
             return []
     g, n = grid.resolution, spec.dim

@@ -239,7 +239,7 @@ def format_text(report: ScanReport) -> str:
         f"  notion: {cfg.notion.value}  tol: {cfg.tol:g}  eps_den: {cfg.eps_den:g}",
     ]
     if cfg.notion is Notion.DECREASING:
-        lines.append("# decreasing notion: checks derived-by-duality from the increasing ones")
+        lines.append("# decreasing notion: every comparison of both routes is reversed")
     for v in report.verdicts:
         slack = "n/a" if v.max_slack is None else f"{v.max_slack:.6e}"
         lines.append(

@@ -86,7 +86,8 @@ def _assert_tables_match_points(spec, g):
     # the empty margin, which every all-positive F_d reads
     assert ctable[(g,) * spec.dim] == 1.0
     for d in all_directions(spec.dim):
-        read, pairwise = checker._read_tables(spec, grid, ctable, d)
+        read = checker._orthant_table(ctable, d)
+        pairwise = checker._pairwise_table(spec, grid, ctable, d, read)
         direct = _orthant_array(spec, d, points)
         assert read.tobytes() == direct.tobytes(), (spec.describe(), d.pretty())
         if d.is_pure and d.signs[0] > 0 and spec.dim <= 3:
@@ -327,6 +328,26 @@ class TestScans:
         assert sum(tables.values()) == len(verdicts) == 16
         assert shapes[(5,) * 4] == 1
         assert all(len(shape) <= 1 for shape in shapes if shape != (5,) * 4)
+
+    def test_oracle_only_scan_builds_no_survival_table(self, monkeypatch):
+        # only the inequality route reads the all-positive direction's
+        # survival table in dims 2 and 3
+        evaluate, families_built = checker._cdf_axes, []
+
+        def recorded(spec, xs):
+            families_built.append(spec.family)
+            return evaluate(spec, xs)
+
+        monkeypatch.setattr(checker, "_cdf_axes", recorded)
+        spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
+        scan_all_directions(spec, GridSpec(5), method=METHOD_ORACLE)
+        assert families_built == ["fgm"]
+
+    def test_repeated_direction_is_refused_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(checker, "_copula_table", None)
+        spec, d = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, -1])
+        with pytest.raises(ValueError, match=r"direction \+,- is requested more than once"):
+            scan_all_directions(spec, GridSpec(5), directions=[d, make_direction([1, 1]), d])
 
     def test_no_copula_table_outlives_its_scan(self, monkeypatch):
         # a table of (g+1)^n points must not stay allocated once the
@@ -745,9 +766,9 @@ class TestOracleMatchesScalar:
         ids=["fgm2", "fgm3"],
     )
     def test_first_violation_above_half_the_max_slack(self, spec, g):
-        # a larger tol can move the first violation to a later condition,
-        # where a join equal to the condition stands for several targets
-        # and the key must take the smallest of them
+        # a larger tol can move the first violation to a later condition
+        # and target, where a join equal to the condition stands for
+        # several targets, of which the locate step must report the first
         for d in all_directions(spec.dim):
             for notion in Notion:
                 slack = check_direction_oracle(spec, d, GridSpec(g), notion=notion).max_slack
@@ -779,7 +800,7 @@ class TestOracleMatchesScalar:
                     partial.append(gathered.outcome)
         assert REFUTED in partial
 
-    @pytest.mark.parametrize("block", [1, 7, 25, checker._BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 25, 16 * 81, checker._BLOCK])
     @pytest.mark.parametrize(
         "spec, signs, target",
         [(CopulaSpec("w", 2), (-1, -1), 5), (CopulaSpec("m", 4), (-1, -1, -1, 1), 39)],
@@ -787,8 +808,11 @@ class TestOracleMatchesScalar:
     )
     def test_locates_a_deep_first_violation(self, monkeypatch, spec, signs, target, block):
         # the first violating target is the 6th of 9 and the 40th of 81 in
-        # lattice order, behind rows that violate with larger keys; blocks
-        # of 25 and the default hold several rows of a join on lead
+        # lattice order, behind targets whose violations come later in
+        # the walk; blocks of 25 and the default hold several rows of a
+        # join on lead.  The locate step takes one target at a time below
+        # 81 pairs; blocks of 16 * 81 give it chunks of 1, 2, 4, 8 and 16
+        # targets, the last of which, targets 31 to 46, holds target 39
         d, g = make_direction(signs), 3
         monkeypatch.setattr(checker, "_BLOCK", block)
         points = list(GridSpec(g).points())
@@ -797,6 +821,28 @@ class TestOracleMatchesScalar:
             assert _summary(gathered) == scalar, notion
             at = [points.index(x) for x in gathered.counterexample.target]
             assert np.ravel_multi_index(at, (g,) * spec.dim) == target
+
+    @pytest.mark.parametrize(
+        "spec, signs, notion, share, target",
+        [
+            (CopulaSpec("amh", 2, {"delta": -1.0}), (1, -1), Notion.INCREASING, 0.99, 3),
+            (CopulaSpec("convexpim", 3, {"theta": 0.5}), (-1, 1, 1), Notion.DECREASING, 0.99, 20),
+        ],
+        ids=["amh2", "convexpim3"],
+    )
+    def test_first_violation_in_a_chunk_past_the_last_target(
+        self, spec, signs, notion, share, target
+    ):
+        # chunks of 1, 2, 4, 8 and 16 targets: the first violating target,
+        # the 4th of 4 and the 21st of 27, is in a chunk that the lattice
+        # cuts short
+        d, g = make_direction(signs), 3 if spec.dim == 3 else 2
+        tol = check_direction_oracle(spec, d, GridSpec(g), notion=notion).max_slack * share
+        gathered = check_direction_oracle(spec, d, GridSpec(g), tol=tol, notion=notion)
+        assert _summary(gathered) == _scalar_oracle_scan(spec, d, g, tol=tol)[notion]
+        points = list(GridSpec(g).points())
+        at = [points.index(x) for x in gathered.counterexample.target]
+        assert np.ravel_multi_index(at, (g,) * spec.dim) == target
 
     @pytest.mark.parametrize("block", [7, 25])
     @pytest.mark.parametrize(
@@ -808,11 +854,10 @@ class TestOracleMatchesScalar:
         ids=["convexpim3", "product4"],
     )
     def test_locates_past_the_run_of_least_bound(self, monkeypatch, spec, signs, block):
-        # with these blocks the first violation is not in the first run of
-        # rows by least key (convexpim), nor, for the decreasing notion, in
-        # a run whose least key is the least of all (product), so a locate
-        # step that stopped after its first run, or a walk that kept only
-        # the runs of least key, would report a later violation
+        # these blocks split the lattice so that a locate step that
+        # followed the walk's blocks, not the targets in lattice order,
+        # could report a later violation (convexpim under both notions,
+        # product under the decreasing one)
         d, g = make_direction(signs), 3
         monkeypatch.setattr(checker, "_BLOCK", block)
         for notion, scalar in _scalar_oracle_scan(spec, d, g).items():
@@ -886,8 +931,9 @@ class TestOracleMatchesScalar:
     def test_memory_stays_flat_when_most_rows_violate(self, monkeypatch):
         # fgm (2,12) in blocks of 25 pairs walks 78 x 78 rows (a lead pair
         # for each pair before it), most of which violate the decreasing
-        # notion; the walk keeps only the runs of rows that can hold the
-        # first violation, about 15 KiB at peak, not an entry per row
+        # notion; the walk keeps no entry per violating row, and the locate
+        # step takes one target of 144 conditions at a time, about 15 KiB
+        # at peak
         spec, d, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, 1]), GridSpec(12)
         table = checker._orthant_table(checker._copula_table(spec, grid), d)
         default = check_direction_oracle(spec, d, grid, notion=Notion.DECREASING, table=table)
@@ -902,6 +948,21 @@ class TestOracleMatchesScalar:
             tracemalloc.stop()
         assert small == default and default.outcome == REFUTED
         assert peak < 32 * 2**10
+
+    def test_locate_peak_at_the_default_block(self):
+        # the first violating target of m (4,6) along (-,-,+,-) under D is
+        # the 259th of 1296, so the locate step reaches its largest chunks,
+        # 12 targets of 1296 conditions; the call, tables included, peaks
+        # at about 520 KiB
+        spec, d, grid = CopulaSpec("m", 4), make_direction([-1, -1, 1, -1]), GridSpec(6)
+        tracemalloc.start()
+        try:
+            v = check_direction_oracle(spec, d, grid, notion=Notion.DECREASING)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.outcome == REFUTED
+        assert peak < 640 * 2**10
 
 
 class TestInequalityMemory:

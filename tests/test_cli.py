@@ -83,6 +83,8 @@ class TestParseConfig:
             ["check", "--family", "product", "--dim", "2", "--tol", "inf"],
             ["check", "--family", "product", "--dim", "2", "--tol", "nan"],
             ["check", "--family", "product", "--dim", "2", "--eps-den", "inf"],
+            ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "5",
+             "--direction", "+,-", "--direction", "+,-"],
             ["check", "--dim", "2"],
         ],
     )
@@ -285,6 +287,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "dirmono: error: direction dim 2 does not match copula dim 3\n"
 
+    def test_repeated_direction_exits_two(self, capsys):
+        argv = ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "5",
+                "--direction", "+,-", "--direction", "+,+", "--direction", "+,-"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dirmono: error: direction +,- is requested more than once\n"
+
     def test_config_error_run(self):
         result = invoke("check", "--config", str(FIXTURES / "amh_invalid_dim.json"))
         assert result.returncode == 2
@@ -409,6 +419,15 @@ class TestReportFormats:
         assert "REFUTED@g=9" in result.stdout
         assert "slack=" in result.stdout
         assert "counterexample" in result.stdout
+
+    def test_text_names_the_decreasing_notion(self, capsys):
+        # D reverses the comparisons of both routes; nothing is derived
+        argv = ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "5",
+                "--notion", "D"]
+        main(argv)
+        out = capsys.readouterr().out
+        assert "# decreasing notion: every comparison of both routes is reversed\n" in out
+        assert "duality" not in out
 
     def test_csv_rows(self):
         result = invoke(

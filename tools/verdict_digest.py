@@ -75,6 +75,8 @@ BAD_ARGVS = [
     _PRODUCT + ["--tol", "inf"],
     _PRODUCT + ["--tol", "nan"],
     _PRODUCT + ["--eps-den", "inf"],
+    ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "5",
+     "--direction", "+,-", "--direction", "+,-"],
     ["check", "--dim", "2"],
 ]
 BAD_CONFIGS = [
