@@ -18,8 +18,9 @@ sum of margins of C, which are C with some coordinates pinned to 1.  So
 with 1.0 appended to each (``_copula_table``), and hands that table to
 ``scan_direction``, which reads each direction's F_d, shape (g,)*n, off
 it by slicing and runs the routes on it; the pure single-swap form reads
-the raw copula slice or the survival copula, evaluated per axis too since
-flipping C's table is not bit-exact.  Both routes gather from these n-D
+F_d too (C, for the all-negative direction), but the all-positive one
+reads the survival copula, evaluated per axis too since flipping C's
+table is not bit-exact.  Both routes gather from these n-D
 tables by per-axis ``take``s of the per-axis pairs lo <= hi, with no
 per-pair index vectors.  The oracle takes those pairs as a condition w
 and its join z with the target: a step leaves z as it is, or steps it
@@ -71,8 +72,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionError, Direction, Notion, iter_directions
-from .families import SURVIVAL, CopulaSpec, _cdf_axes, _signed_sum, cdf, survival_cdf, validate
-from .orthant import DEFAULT_EPS_DEN, _orthant_array, conditional_prob
+from .families import SURVIVAL, CopulaSpec, _cdf_axes, _signed_sum, survival_cdf, validate
+from .orthant import DEFAULT_EPS_DEN, MIN_EPS_DEN, _check_eps_den, _orthant_array, conditional_prob
 
 DEFAULT_TOL = 1e-9
 
@@ -84,10 +85,6 @@ METHOD_INEQUALITY = "inequality"
 METHOD_ORACLE = "oracle"
 METHOD_BOTH = "both"
 METHODS = (METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH)
-
-# the smallest normal double: with F_d at most about 1, every defined
-# quotient of the oracle, and every difference of two, is then finite
-MIN_EPS_DEN = float(np.finfo(float).tiny)
 
 _DEFAULT_RESOLUTIONS = {2: 21, 3: 9, 4: 6, 5: 4}
 
@@ -193,8 +190,7 @@ def _check_settings(
         raise ValueError(f"unknown method {method!r}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if not MIN_EPS_DEN <= eps_den < math.inf:
-        raise ValueError(f"eps_den must be finite and >= {MIN_EPS_DEN!r}, got {eps_den!r}")
+    _check_eps_den(eps_den)
     return Notion(notion)
 
 
@@ -211,9 +207,9 @@ def check_pair(
 
     A mixed direction compares orthant probabilities with the
     negative-axis coordinates of u and up traded; a pure one (dims 2 and
-    3 only) trades the first coordinate and reads the copula for the
-    all-negative direction, its survival transform for the all-positive
-    one.  Returns None on a pass, otherwise the pair with both sides.
+    3 only) trades the first coordinate and reads F_d, which is C, when
+    all-negative and the survival copula when all-positive.  Returns None
+    on a pass, otherwise the pair with both sides.
     """
     validate(spec)
     notion = Notion(notion)
@@ -234,8 +230,8 @@ def check_pair(
     lo = tuple(up[i] if i in swapped else u[i] for i in range(d.dim))
     hi = tuple(u[i] if i in swapped else up[i] for i in range(d.dim))
     corners = [u, up, lo, hi]
-    if d.is_pure:
-        h = (cdf if d.signs[0] < 0 else survival_cdf)(spec, corners)
+    if d.is_pure and d.signs[0] > 0:
+        h = survival_cdf(spec, corners)
     else:
         h = _orthant_array(spec, d, np.array(corners))
     plain, crossed = float(h[0] * h[1]), float(h[2] * h[3])
@@ -277,21 +273,19 @@ def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
 
 
 def _pairwise_table(
-    spec: CopulaSpec, grid: GridSpec, ctable: np.ndarray, d: Direction, table: np.ndarray
+    spec: CopulaSpec, grid: GridSpec, d: Direction, table: np.ndarray
 ) -> np.ndarray | None:
-    """The table the pairwise form of ``d`` reads, given ``ctable``, the
-    copula table of ``spec`` on ``grid``, and ``table``, F_d read off it.
+    """The table the pairwise form of ``d`` reads, given ``table``, F_d of
+    ``spec`` on ``grid``.
 
-    A mixed direction's pairwise form reads F_d, the all-negative one C,
-    as the raw slice so that its signed zeros stay.  The all-positive one
-    reads the survival copula at the lattice points, since flipping C's
-    table is not bit-exact, and None in dim > 3, where it is unsupported.
+    A mixed direction's pairwise form reads F_d, and so does the
+    all-negative one, whose F_d is C.  The all-positive one reads the
+    survival copula at the lattice points, since flipping C's table is not
+    bit-exact, and None in dim > 3, where it is unsupported.
     """
-    g, n = grid.resolution, spec.dim
-    if not d.is_pure:
+    n = spec.dim
+    if not d.is_pure or d.signs[0] < 0:
         return table
-    if d.signs[0] < 0:
-        return ctable[(slice(g),) * n]
     survival = CopulaSpec(SURVIVAL, n, inner=spec)
     return _cdf_axes(survival, _axes(grid.points(), n)) if n <= 3 else None
 
@@ -320,8 +314,7 @@ def check_direction_inequality(
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
     if table is None:
-        ctable = _copula_table(spec, grid)
-        table = _pairwise_table(spec, grid, ctable, d, _orthant_table(ctable, d))
+        table = _pairwise_table(spec, grid, d, _orthant_table(_copula_table(spec, grid), d))
     table = table.reshape((g,) * n)
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
@@ -576,7 +569,7 @@ def scan_direction(
     table = _orthant_table(ctable, d)
     ineq = orac = None
     if method != METHOD_ORACLE:
-        pairwise = _pairwise_table(spec, grid, ctable, d, table)
+        pairwise = _pairwise_table(spec, grid, d, table)
         ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
     if method != METHOD_INEQUALITY:
         orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
@@ -667,8 +660,10 @@ def recheck_counterexample(
     """Recompute a counterexample from scratch through the scalar path.
 
     Returns True when the recomputed violation still exceeds tol; used to
-    keep the vectorized scan honest.
+    keep the vectorized scan honest.  ``eps_den`` is checked as
+    ``conditional_prob`` checks it, whatever the kind.
     """
+    _check_eps_den(eps_den)
     d, notion = cex.direction, Notion(notion)
     if cex.kind == "pair":
         return check_pair(spec, d, cex.u_low, cex.u_high, tol, notion) is not None

@@ -17,6 +17,7 @@ dim) and are pure.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Iterable
 
@@ -26,6 +27,15 @@ from .core import DimensionError, Direction, join_direction
 from .families import CopulaSpec, _pinned_cdf, _points, _signed_sum, _value
 
 DEFAULT_EPS_DEN = 1e-12
+# the smallest normal double: with F_d at most about 1, every defined
+# quotient of the oracle, and every difference of two, is then finite
+MIN_EPS_DEN = float(np.finfo(float).tiny)
+
+
+def _check_eps_den(eps_den: float) -> None:
+    """Refuse an eps_den that is not finite or is below MIN_EPS_DEN."""
+    if not MIN_EPS_DEN <= eps_den < math.inf:
+        raise ValueError(f"eps_den must be finite and >= {MIN_EPS_DEN!r}, got {eps_den!r}")
 
 
 def marginal_cdf(spec: CopulaSpec, indices: Iterable[int], u) -> float | np.ndarray:
@@ -68,8 +78,10 @@ def conditional_prob(
     """P[directional event at v | directional event at vp], or None.
 
     None signals an undefined conditional: the conditioning event has
-    probability below ``eps_den``.
+    probability below ``eps_den``.  An ``eps_den`` that is not finite or
+    is below MIN_EPS_DEN raises ValueError, as in the scans.
     """
+    _check_eps_den(eps_den)
     num = orthant_prob(spec, d, join_direction(d, tuple(v), tuple(vp)))
     den = orthant_prob(spec, d, vp)
     if den < eps_den:

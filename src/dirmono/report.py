@@ -1,8 +1,10 @@
 """Run configuration, scan reports and their serializations.
 
-The json form is the canonical one: it is versioned, lossless (floats
-survive a round trip bit-exactly via repr) and deterministic apart from
-the timing block.  Text is a human table, csv one row per direction.
+The json form is the canonical one: it is versioned, deterministic
+apart from the timing block, and lossless: every double is written with
+``repr``, so ``json.loads`` gives it back bit for bit.  Text is a human
+table, csv one row per direction.  Reports are output only; nothing
+reads one back into objects.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .checker import (
@@ -18,9 +20,8 @@ from .checker import (
     DirectionVerdict,
     PASS_AT_RESOLUTION,
     REFUTED,
-    UNSUPPORTED,
 )
-from .core import Direction, Notion, direction_from_token
+from .core import Direction, Notion
 from .families import CopulaSpec
 
 TOOL_VERSION = "0.1.0"
@@ -48,8 +49,6 @@ class ScanReport:
     verdicts: tuple[DirectionVerdict, ...]
     disagreements: tuple[str, ...]
     elapsed_seconds: float
-    schema_version: int = SCHEMA_VERSION
-    tool_version: str = TOOL_VERSION
 
 
 def exit_code(report: ScanReport) -> int:
@@ -77,16 +76,6 @@ def _spec_to_dict(spec: CopulaSpec) -> dict[str, Any]:
     }
 
 
-def _spec_from_dict(data: dict[str, Any]) -> CopulaSpec:
-    inner = data.get("inner")
-    return CopulaSpec(
-        family=data["family"],
-        dim=int(data["dim"]),
-        params={k: float(v) for k, v in data.get("params", {}).items()},
-        inner=_spec_from_dict(inner) if inner else None,
-    )
-
-
 def _cex_to_dict(cex: Counterexample | None) -> dict[str, Any] | None:
     if cex is None:
         return None
@@ -104,22 +93,6 @@ def _cex_to_dict(cex: Counterexample | None) -> dict[str, Any] | None:
     }
 
 
-def _cex_from_dict(data: dict[str, Any] | None) -> Counterexample | None:
-    if data is None:
-        return None
-    return Counterexample(
-        direction=direction_from_token(data["direction"]),
-        u_low=tuple(float(x) for x in data["u_low"]),
-        u_high=tuple(float(x) for x in data["u_high"]),
-        lhs=float(data["lhs"]),
-        rhs=float(data["rhs"]),
-        violation=float(data["violation"]),
-        kind=data["kind"],
-        target=tuple(float(x) for x in data["target"]) if data.get("target") else None,
-        axis=data["axis"] - 1 if data.get("axis") is not None else None,
-    )
-
-
 def _verdict_to_dict(v: DirectionVerdict) -> dict[str, Any]:
     return {
         "direction": v.direction.token(),
@@ -132,20 +105,6 @@ def _verdict_to_dict(v: DirectionVerdict) -> dict[str, Any]:
         "oracle_outcome": v.oracle_outcome,
         "methods_agree": v.methods_agree,
     }
-
-
-def _verdict_from_dict(data: dict[str, Any]) -> DirectionVerdict:
-    return DirectionVerdict(
-        direction=direction_from_token(data["direction"]),
-        method=data["method"],
-        outcome=data["outcome"],
-        pairs_tested=int(data["pairs_tested"]),
-        max_slack=float(data["max_slack"]) if data["max_slack"] is not None else None,
-        counterexample=_cex_from_dict(data.get("counterexample")),
-        inequality_outcome=data.get("inequality_outcome"),
-        oracle_outcome=data.get("oracle_outcome"),
-        methods_agree=data.get("methods_agree"),
-    )
 
 
 def _config_to_dict(cfg: RunConfig) -> dict[str, Any]:
@@ -165,29 +124,10 @@ def _config_to_dict(cfg: RunConfig) -> dict[str, Any]:
     }
 
 
-def _config_from_dict(data: dict[str, Any]) -> RunConfig:
-    directions = data["directions"]
-    return RunConfig(
-        spec=_spec_from_dict(data["family"]),
-        directions=(
-            None
-            if directions == "all"
-            else tuple(direction_from_token(t) for t in directions)
-        ),
-        grid=int(data["grid"]),
-        method=data["method"],
-        notion=Notion(data["notion"]),
-        tol=float(data["tol"]),
-        eps_den=float(data["eps_den"]),
-        fmt=data.get("format", "text"),
-        out=data.get("out"),
-    )
-
-
 def report_to_dict(report: ScanReport) -> dict[str, Any]:
     return {
-        "schema_version": report.schema_version,
-        "tool_version": report.tool_version,
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": TOOL_VERSION,
         "config": _config_to_dict(report.config),
         "verdicts": [_verdict_to_dict(v) for v in report.verdicts],
         "disagreements": list(report.disagreements),
@@ -195,25 +135,8 @@ def report_to_dict(report: ScanReport) -> dict[str, Any]:
     }
 
 
-def report_from_dict(data: dict[str, Any]) -> ScanReport:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {data.get('schema_version')!r}")
-    return ScanReport(
-        config=_config_from_dict(data["config"]),
-        verdicts=tuple(_verdict_from_dict(v) for v in data["verdicts"]),
-        disagreements=tuple(data.get("disagreements", [])),
-        elapsed_seconds=float(data["timing"]["elapsed_seconds"]),
-        schema_version=int(data["schema_version"]),
-        tool_version=data["tool_version"],
-    )
-
-
 def report_to_json(report: ScanReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
-
-
-def report_from_json(text: str) -> ScanReport:
-    return report_from_dict(json.loads(text))
 
 
 # ------------------------------------------------------------- text and csv
@@ -234,7 +157,7 @@ def _outcome_label(v: DirectionVerdict, grid: int) -> str:
 def format_text(report: ScanReport) -> str:
     cfg = report.config
     lines = [
-        f"# dirmono scan report (schema {report.schema_version}, tool {report.tool_version})",
+        f"# dirmono scan report (schema {SCHEMA_VERSION}, tool {TOOL_VERSION})",
         f"# copula: {cfg.spec.describe()}  grid: g={cfg.grid}  method: {cfg.method}"
         f"  notion: {cfg.notion.value}  tol: {cfg.tol:g}  eps_den: {cfg.eps_den:g}",
     ]

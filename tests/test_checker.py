@@ -87,9 +87,12 @@ def _assert_tables_match_points(spec, g):
     assert ctable[(g,) * spec.dim] == 1.0
     for d in all_directions(spec.dim):
         read = checker._orthant_table(ctable, d)
-        pairwise = checker._pairwise_table(spec, grid, ctable, d, read)
+        pairwise = checker._pairwise_table(spec, grid, d, read)
         direct = _orthant_array(spec, d, points)
         assert read.tobytes() == direct.tobytes(), (spec.describe(), d.pretty())
+        if d.is_pure and d.signs[0] < 0:
+            # F_d is C: the signed sum adds C to 0.0, and C is never -0.0
+            assert read.tobytes() == raw.tobytes(), spec.describe()
         if d.is_pure and d.signs[0] > 0 and spec.dim <= 3:
             assert pairwise.tobytes() == survival_cdf(spec, points).tobytes(), spec.describe()
 
@@ -599,6 +602,36 @@ class TestFgmLaw:
                 ), v.direction.pretty()
 
 
+class TestSurvivalReflection:
+    """The survival copula of C is the law of 1 - U, so its F_d at u is
+    C's F_{-d} at 1 - u.  Reflecting the lattice maps each comparison
+    along d to one of C's along -d, so survival-of C along d has C's
+    outcome along -d, for each route and both notions."""
+
+    INNER = [CopulaSpec("fgm", n, {"lambda": 0.5}) for n in (2, 3, 4)] + [
+        CopulaSpec("amh", 2, {"delta": -0.5}),
+        CopulaSpec("amh", 2, {"delta": 0.7}),
+        CopulaSpec("w", 2),
+        CopulaSpec("m", 3),
+        CopulaSpec("convexpim", 3, {"theta": 0.3}),
+        CopulaSpec("product", 3),
+    ]
+    GRIDS = {2: 15, 3: 7, 4: 4}
+
+    @pytest.mark.parametrize("notion", list(Notion), ids=lambda n: n.value)
+    @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE])
+    @pytest.mark.parametrize("inner", INNER, ids=lambda s: s.describe())
+    def test_survival_along_d_has_the_outcome_along_minus_d(self, inner, method, notion):
+        grid = GridSpec(self.GRIDS[inner.dim])
+        outcomes = {
+            v.direction.signs: v.outcome
+            for v in scan_all_directions(inner, grid, method=method, notion=notion)
+        }
+        for v in scan_all_directions(_survival_of(inner), grid, method=method, notion=notion):
+            reflected = tuple(-s for s in v.direction.signs)
+            assert v.outcome == outcomes[reflected], v.direction.pretty()
+
+
 def _scalar_pair_scan(spec, d, g, pair_check):
     """Plain loop over ordered lattice pairs in lexicographic (u, u') order.
 
@@ -674,6 +707,15 @@ class TestScanRechecks:
         assert cex.kind == "step" and recheck_counterexample(spec, cex)
         with pytest.raises(ValueError, match="target and an axis"):
             recheck_counterexample(spec, replace(cex, **{missing: None}))
+
+    @pytest.mark.parametrize("eps_den", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_eps_den_is_a_value_error(self, eps_den):
+        # both conditions have no mass, so without the check 0.0 divides by zero
+        d = make_direction([-1, -1])
+        cex = Counterexample(d, (0.2, 0.3), (0.3, 0.3), 0.0, 0.0, 0.0, kind="step",
+                             target=(0.5, 0.5), axis=0)
+        with pytest.raises(ValueError, match="eps_den must be finite"):
+            recheck_counterexample(CopulaSpec("w", 2), cex, eps_den=eps_den)
 
 
 def _scalar_oracle_scan(spec, d, g, eps_den=DEFAULT_EPS_DEN, tol=DEFAULT_TOL):

@@ -10,13 +10,19 @@ from dirmono import (
     Notion,
     RunConfig,
     ScanReport,
+    TOOL_VERSION,
     exit_code,
     format_report,
-    report_from_json,
-    report_to_json,
 )
 from dirmono import checker, cli
-from dirmono.checker import DirectionVerdict, PASS_AT_RESOLUTION, REFUTED, UNSUPPORTED
+from dirmono.checker import (
+    DirectionVerdict,
+    GridSpec,
+    PASS_AT_RESOLUTION,
+    REFUTED,
+    UNSUPPORTED,
+    scan_all_directions,
+)
 from dirmono.cli import UsageError, main, parse_config, run
 from dirmono.core import make_direction
 
@@ -439,29 +445,36 @@ class TestReportFormats:
         assert lines[0].startswith("direction,outcome,method")
 
     def test_json_schema_and_round_trip(self, tmp_path):
-        out = tmp_path / "report.json"
-        result = invoke(
-            "check", "--family", "fgm", "--dim", "2", "--lambda", "0.5",
-            "--grid", "9", "--format", "json", "--out", str(out),
-        )
-        assert result.returncode == 1
-        data = json.loads(out.read_text())
-        assert data["schema_version"] == 1
-        assert data["config"]["family"]["family"] == "fgm"
-        report = report_from_json(out.read_text())
-        assert report_from_json(report_to_json(report)) == report
-
-    def test_reads_reports_with_the_conjectural_keys(self, tmp_path):
-        out = tmp_path / "report.json"
-        main(["check", "--family", "fgm", "--dim", "4", "--lambda", "0.5", "--grid", "2",
-              "--format", "json", "--out", str(out)])
-        data = json.loads(out.read_text())
-        # schema-1 reports of earlier versions carry both keys
-        data["config"]["allow_conjectural_pure"] = True
-        for verdict in data["verdicts"]:
-            verdict["conjectural_outcome"] = "pass_at_resolution" if verdict["direction"] in (
-                "+,+,+,+", "-,-,-,-") else None
-        assert report_from_json(json.dumps(data)) == report_from_json(out.read_text())
+        # every double is written with repr, so json.loads gives back the
+        # in-process verdicts' doubles bit for bit, for both counterexample kinds
+        spec, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), GridSpec(9)
+        for method, kind in (("both", "pair"), ("oracle", "step")):
+            out = tmp_path / f"{method}.json"
+            code = main(["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5",
+                         "--grid", "9", "--method", method, "--format", "json",
+                         "--out", str(out)])
+            assert code == 1
+            data = json.loads(out.read_text())
+            assert data["schema_version"] == 1
+            assert data["tool_version"] == TOOL_VERSION
+            assert data["config"]["family"]["family"] == "fgm"
+            verdicts = scan_all_directions(spec, grid, method=method)
+            written = data["verdicts"]
+            assert [v["direction"] for v in written] == [v.direction.token() for v in verdicts]
+            kinds = set()
+            for row, verdict in zip(written, verdicts):
+                assert row["max_slack"] == verdict.max_slack
+                cex = verdict.counterexample
+                if cex is None:
+                    assert row["counterexample"] is None
+                    continue
+                kinds.add(cex.kind)
+                for key in ("lhs", "rhs", "violation"):
+                    assert row["counterexample"][key] == getattr(cex, key)
+                for key in ("u_low", "u_high", "target"):
+                    value = getattr(cex, key)
+                    assert row["counterexample"][key] == (None if value is None else list(value))
+            assert kinds == {kind}
 
     def test_json_determinism_modulo_timing(self, tmp_path):
         args = (

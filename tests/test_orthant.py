@@ -166,6 +166,13 @@ class TestConditionalProb:
         d = make_direction([-1, -1])
         assert conditional_prob(spec, d, (0.9, 0.9), (0.2, 0.2)) is None
 
+    @pytest.mark.parametrize("eps_den", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_eps_den_is_a_value_error(self, eps_den):
+        # the condition has no mass, so without the check 0.0 divides by zero
+        spec, d = CopulaSpec("w", 2), make_direction([-1, -1])
+        with pytest.raises(ValueError, match="eps_den must be finite"):
+            conditional_prob(spec, d, (0.5, 0.5), (0.3, 0.3), eps_den=eps_den)
+
     def test_numerator_uses_directional_join(self):
         rng = np.random.default_rng(29)
         spec = CopulaSpec("fgm", 3, {"lambda": -0.5})
