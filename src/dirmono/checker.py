@@ -17,11 +17,11 @@ sum of margins of C, which are C with some coordinates pinned to 1.  So
 ``scan_all_directions`` evaluates C once, per axis on the lattice's axes
 with 1.0 appended to each (``_copula_table``), and hands that table to
 ``scan_direction``, which reads each direction's F_d, shape (g,)*n, off
-it by slicing and runs the routes on it; the pure single-swap form reads
-F_d too (C, for the all-negative direction), but the all-positive one
-reads the survival copula, evaluated per axis too since flipping C's
-table is not bit-exact.  Both routes gather from these n-D
-tables by per-axis ``take``s of the per-axis pairs lo <= hi, with no
+it by slicing and hands it to both routes.  The pure single-swap form
+reads F_d too (C, for the all-negative direction), but the all-positive
+one reads the survival copula (``_survival_table``), evaluated per axis
+too since flipping C's table is not bit-exact.  Both routes gather from
+these tables by per-axis ``take``s of the per-axis pairs lo <= hi, with no
 per-pair index vectors.  The oracle takes those pairs as a condition w
 and its join z with the target: a step leaves z as it is, or steps it
 with w where the two share the stepped coordinate, so a comparison
@@ -73,7 +73,8 @@ import numpy as np
 
 from .core import DimensionError, Direction, Notion, iter_directions
 from .families import SURVIVAL, CopulaSpec, _cdf_axes, _signed_sum, survival_cdf, validate
-from .orthant import DEFAULT_EPS_DEN, MIN_EPS_DEN, _check_eps_den, _orthant_array, conditional_prob
+from .orthant import DEFAULT_EPS_DEN, MIN_EPS_DEN, _check_direction, _check_eps_den
+from .orthant import _orthant_array, conditional_prob
 
 DEFAULT_TOL = 1e-9
 
@@ -98,7 +99,7 @@ _MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # tracemalloc, passing and refuted, at (6,3), (5,4), (4,6), (3,9), (3,15), (2,60)
 _PAIR_PEAK_BYTES = 29
 # peak bytes of a scan's tables per (g+1)^n point (the copula table, F_d, the
-# pairwise table and the oracle's copies of F_d): 2.2 to 8.1 floats under
+# survival table and the oracle's copies of F_d): 2.2 to 8.1 floats under
 # tracemalloc over 12 specs from (2,1000) to (8,5), the most at survival-of amh
 # (2,400); the oracle's blocks add O(_BLOCK)
 _TABLE_PEAK_BYTES = 72
@@ -176,11 +177,6 @@ class DirectionVerdict:
     methods_agree: bool | None = None
 
 
-def _check_direction(spec: CopulaSpec, d: Direction) -> None:
-    if d.dim != spec.dim:
-        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
-
-
 def _check_settings(
     tol: float, notion: Notion | str, eps_den: float = MIN_EPS_DEN, method: str = METHOD_BOTH
 ) -> Notion:
@@ -192,6 +188,26 @@ def _check_settings(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     _check_eps_den(eps_den)
     return Notion(notion)
+
+
+def _check_lattice(n: int, g: int, method: str) -> None:
+    """Refuse, before anything is allocated, a lattice that no table can
+    hold: more axes than an array has, more bytes at the peak of the tables
+    than the machine has memory, or, when the inequality route runs, more
+    at the peak of its pair arrays."""
+    if n > _MAX_DIM:
+        raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
+    if (g + 1) ** n * _TABLE_PEAK_BYTES > _MEMORY:
+        raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
+    pairs = g * (g + 1) // 2
+    if method != METHOD_ORACLE and pairs**n * _PAIR_PEAK_BYTES > _MEMORY:
+        raise MemoryError(f"the {pairs}^{n} pairs of the inequality route do not fit in memory")
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a nan ``tol``, under which every comparison would pass."""
+    if math.isnan(tol):
+        raise ValueError(f"tol must not be nan, got {tol!r}")
 
 
 def check_pair(
@@ -209,8 +225,10 @@ def check_pair(
     negative-axis coordinates of u and up traded; a pure one (dims 2 and
     3 only) trades the first coordinate and reads F_d, which is C, when
     all-negative and the survival copula when all-positive.  Returns None
-    on a pass, otherwise the pair with both sides.
+    on a pass, otherwise the pair with both sides.  Any ``tol`` but nan is
+    taken, so that ``-inf`` reads every slack.
     """
+    _check_tol(tol)
     validate(spec)
     notion = Notion(notion)
     u = tuple(float(x) for x in u)
@@ -272,22 +290,11 @@ def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
     return _signed_sum(margin, d.neg_idx, d.pos_idx)
 
 
-def _pairwise_table(
-    spec: CopulaSpec, grid: GridSpec, d: Direction, table: np.ndarray
-) -> np.ndarray | None:
-    """The table the pairwise form of ``d`` reads, given ``table``, F_d of
-    ``spec`` on ``grid``.
-
-    A mixed direction's pairwise form reads F_d, and so does the
-    all-negative one, whose F_d is C.  The all-positive one reads the
-    survival copula at the lattice points, since flipping C's table is not
-    bit-exact, and None in dim > 3, where it is unsupported.
-    """
-    n = spec.dim
-    if not d.is_pure or d.signs[0] < 0:
-        return table
-    survival = CopulaSpec(SURVIVAL, n, inner=spec)
-    return _cdf_axes(survival, _axes(grid.points(), n)) if n <= 3 else None
+def _survival_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
+    """The survival copula of ``spec`` on the (g,)*n lattice, which the all-positive
+    direction's pairwise form reads; flipping C's table is not bit-exact."""
+    validate(spec)
+    return _cdf_axes(CopulaSpec(SURVIVAL, spec.dim, inner=spec), _axes(grid.points(), spec.dim))
 
 
 def check_direction_inequality(
@@ -305,16 +312,20 @@ def check_direction_inequality(
     read F_d; pure ones in dims 2 and 3 swap axis 0 and read the copula
     (all-negative) or survival copula (all-positive).  Pure directions in
     dim >= 4 come back as unsupported; route those to the oracle.
-    ``table`` is that table on the lattice; when not given, it is read
-    as ``scan_direction`` reads it.
+    ``table`` is F_d on the lattice, which the all-positive direction
+    ignores for ``_survival_table``; when not given, it is read off the
+    copula table as ``scan_direction`` reads it.
     """
     _check_direction(spec, d)
     notion = _check_settings(tol, notion)
     if d.is_pure and spec.dim > 3:
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
-    if table is None:
-        table = _pairwise_table(spec, grid, d, _orthant_table(_copula_table(spec, grid), d))
+    _check_lattice(n, g, METHOD_INEQUALITY)
+    if d.is_pure and d.signs[0] > 0:
+        table = _survival_table(spec, grid)
+    elif table is None:
+        table = _orthant_table(_copula_table(spec, grid), d)
     table = table.reshape((g,) * n)
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
@@ -403,6 +414,7 @@ def check_direction_oracle(
     _check_direction(spec, d)
     notion = _check_settings(tol, notion, eps_den)
     g, n = grid.resolution, spec.dim
+    _check_lattice(n, g, METHOD_ORACLE)
     if table is None:
         table = _orthant_table(_copula_table(spec, grid), d)
     # flip the negative axes: in this table a step along d raises the index
@@ -558,19 +570,20 @@ def scan_direction(
     The settings are checked as ``_check_settings`` checks them, whatever
     the method.
 
-    Both routes read their tables off ``ctable``, the copula table of the
+    Both routes take F_d read off ``ctable``, the copula table of the
     spec and lattice (``_copula_table``), which ``scan_all_directions``
     builds once for all its directions; it is built here when not given.
+    The lattice is charged as ``scan_all_directions`` charges it.
     """
     _check_direction(spec, d)
     notion = _check_settings(tol, notion, eps_den, method)
+    _check_lattice(spec.dim, grid.resolution, method)
     if ctable is None:
         ctable = _copula_table(spec, grid)
     table = _orthant_table(ctable, d)
     ineq = orac = None
     if method != METHOD_ORACLE:
-        pairwise = _pairwise_table(spec, grid, d, table)
-        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=pairwise)
+        ineq = check_direction_inequality(spec, d, grid, tol, notion, table=table)
     if method != METHOD_INEQUALITY:
         orac = check_direction_oracle(spec, d, grid, tol, eps_den, notion, table=table)
     outcomes = dict(
@@ -634,15 +647,8 @@ def scan_all_directions(
             seen.add(d)
         if not directions:
             return []
-    g, n = grid.resolution, spec.dim
-    if n > _MAX_DIM:
-        raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
-    if (g + 1) ** n * _TABLE_PEAK_BYTES > _MEMORY:
-        raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
-    pairs = g * (g + 1) // 2
-    if method != METHOD_ORACLE and pairs**n * _PAIR_PEAK_BYTES > _MEMORY:
-        raise MemoryError(f"the {pairs}^{n} pairs of the inequality route do not fit in memory")
-    chosen = iter_directions(n) if directions is None else directions
+    _check_lattice(spec.dim, grid.resolution, method)
+    chosen = iter_directions(spec.dim) if directions is None else directions
     ctable = _copula_table(spec, grid)
     return [
         scan_direction(spec, d, grid, method, tol, eps_den, notion, ctable=ctable)
@@ -661,8 +667,10 @@ def recheck_counterexample(
 
     Returns True when the recomputed violation still exceeds tol; used to
     keep the vectorized scan honest.  ``eps_den`` is checked as
-    ``conditional_prob`` checks it, whatever the kind.
+    ``conditional_prob`` checks it, whatever the kind, and a nan ``tol``
+    is refused as ``check_pair`` refuses it.
     """
+    _check_tol(tol)
     _check_eps_den(eps_den)
     d, notion = cex.direction, Notion(notion)
     if cex.kind == "pair":

@@ -203,12 +203,6 @@ def survival_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
     return _value(_cdf_array(CopulaSpec(SURVIVAL, spec.dim, inner=spec), _points(spec, u)))
 
 
-def _pinned_cdf(spec: CopulaSpec, selected: Sequence[int], arr: np.ndarray) -> np.ndarray:
-    """Copula at ``arr`` with the coordinates outside ``selected`` (distinct
-    valid indices) pinned to 1; C(1, ..., 1) is exactly 1 in every family."""
-    return _cdf_array(spec, np.where([k in selected for k in range(spec.dim)], arr, 1.0))
-
-
 def _signed_sum(
     margin: Callable[[tuple[int, ...]], np.ndarray], fixed: tuple, free: Sequence[int]
 ) -> np.ndarray:

@@ -9,7 +9,7 @@ negative-axis coordinate stays below its threshold,
 computed as a signed sum of marginals over subsets of the positive axes:
 
     F_d(v) = sum over S subset of pos_idx of
-             (-1)**|S| * marginal_cdf(spec, neg_idx + S, v).
+             (-1)**|S| * C(v with the axes outside neg_idx + S pinned to 1).
 
 All functions accept a single point or an ndarray of points (last axis =
 dim) and are pure.
@@ -18,13 +18,11 @@ dim) and are pure.
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Iterable
 
 import numpy as np
 
 from .core import DimensionError, Direction, join_direction
-from .families import CopulaSpec, _pinned_cdf, _points, _signed_sum, _value
+from .families import CopulaSpec, _cdf_array, _points, _signed_sum, _value
 
 DEFAULT_EPS_DEN = 1e-12
 # the smallest normal double: with F_d at most about 1, every defined
@@ -38,17 +36,9 @@ def _check_eps_den(eps_den: float) -> None:
         raise ValueError(f"eps_den must be finite and >= {MIN_EPS_DEN!r}, got {eps_den!r}")
 
 
-def marginal_cdf(spec: CopulaSpec, indices: Iterable[int], u) -> float | np.ndarray:
-    """Marginal of the copula on ``indices`` (0-based), at point(s) ``u``.
-
-    Coordinates outside ``indices`` are integrated out (set to 1).  The
-    empty selection returns 1 by convention.
-    """
-    idx = sorted(set(int(i) for i in indices))
-    for i in idx:
-        if not 0 <= i < spec.dim:
-            raise IndexError(f"marginal index {i} out of range for dim {spec.dim}")
-    return _value(_pinned_cdf(spec, idx, _points(spec, u)))
+def _check_direction(spec: CopulaSpec, d: Direction) -> None:
+    if d.dim != spec.dim:
+        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
 
 
 def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
@@ -59,13 +49,15 @@ def orthant_prob(spec: CopulaSpec, d: Direction, v) -> float | np.ndarray:
     The raw signed sum is returned unclamped; it lies within
     [-1e-12, 1 + 1e-12] of [0, 1] in floating point.
     """
-    if d.dim != spec.dim:
-        raise DimensionError(f"direction dim {d.dim} does not match copula dim {spec.dim}")
+    _check_direction(spec, d)
     return _value(_orthant_array(spec, d, _points(spec, v)))
 
 
 def _orthant_array(spec: CopulaSpec, d: Direction, arr: np.ndarray) -> np.ndarray:
-    return _signed_sum(partial(_pinned_cdf, spec, arr=arr), d.neg_idx, d.pos_idx)
+    def margin(selected: tuple[int, ...]) -> np.ndarray:
+        return _cdf_array(spec, np.where([k in selected for k in range(spec.dim)], arr, 1.0))
+
+    return _signed_sum(margin, d.neg_idx, d.pos_idx)
 
 
 def conditional_prob(

@@ -87,14 +87,14 @@ def _assert_tables_match_points(spec, g):
     assert ctable[(g,) * spec.dim] == 1.0
     for d in all_directions(spec.dim):
         read = checker._orthant_table(ctable, d)
-        pairwise = checker._pairwise_table(spec, grid, d, read)
         direct = _orthant_array(spec, d, points)
         assert read.tobytes() == direct.tobytes(), (spec.describe(), d.pretty())
         if d.is_pure and d.signs[0] < 0:
             # F_d is C: the signed sum adds C to 0.0, and C is never -0.0
             assert read.tobytes() == raw.tobytes(), spec.describe()
-        if d.is_pure and d.signs[0] > 0 and spec.dim <= 3:
-            assert pairwise.tobytes() == survival_cdf(spec, points).tobytes(), spec.describe()
+    # the all-positive direction's pairwise table
+    survival = checker._survival_table(spec, grid)
+    assert survival.tobytes() == survival_cdf(spec, points).tobytes(), spec.describe()
 
 
 def _survival_of(spec):
@@ -203,6 +203,15 @@ class TestPairChecks:
         with pytest.raises(UnsupportedDirectionError):
             check_pair(spec, make_direction([1] * 4), (0.2,) * 4, (0.4,) * 4)
 
+    def test_nan_tol_is_a_value_error_before_any_evaluation(self, monkeypatch):
+        # a nan tol would pass every pair: no slack exceeds it
+        spec, d = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, -1])
+        cex = check_pair(spec, d, (0.2, 0.2), (0.8, 0.8))
+        assert cex.violation == pytest.approx(0.004608)
+        monkeypatch.setattr(checker, "_orthant_array", None)
+        with pytest.raises(ValueError, match="tol must not be nan"):
+            check_pair(spec, d, (0.2, 0.2), (0.8, 0.8), tol=float("nan"))
+
 
 class TestDirectionInequality:
     def test_amh_mixed_directions_pass(self):
@@ -230,6 +239,19 @@ class TestDirectionInequality:
         assert v.outcome == UNSUPPORTED
         assert v.pairs_tested == 0
         assert v.max_slack is None
+
+    def test_handed_f_d_gives_the_verdict_of_a_direct_call(self):
+        # the route takes F_d, as the oracle does; the all-positive
+        # direction reads the survival table whatever it is handed
+        grid = GridSpec(3)
+        for spec in family_zoo():
+            ctable = checker._copula_table(spec, grid)
+            for d in all_directions(spec.dim):
+                handed = check_direction_inequality(
+                    spec, d, grid, table=checker._orthant_table(ctable, d)
+                )
+                direct = check_direction_inequality(spec, d, grid)
+                assert handed == direct, (spec.describe(), d.pretty())
 
 
 class TestDirectionOracle:
@@ -459,6 +481,38 @@ class TestScans:
         assert v.methods_agree is None
 
 
+class TestLatticeCost:
+    """Every scan entry charges the lattice before it builds a table.  For
+    fgm (3,15) the 16^3 points of the copula table are charged 294,912
+    bytes, and the 120^3 pairs of the inequality route 50.1 MB."""
+
+    SPEC, GRID, D = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(15), make_direction([1, -1, 1])
+
+    @pytest.mark.parametrize(
+        "check", [scan_direction, check_direction_inequality, check_direction_oracle]
+    )
+    def test_a_table_too_big_for_memory_is_refused(self, monkeypatch, check):
+        monkeypatch.setattr(checker, "_cdf_axes", None)
+        monkeypatch.setattr(checker, "_MEMORY", 100_000)
+        with pytest.raises(MemoryError, match=r"16\^3 points of the copula table"):
+            check(self.SPEC, self.D, self.GRID)
+
+    def test_only_the_inequality_route_is_charged_its_pairs(self, monkeypatch):
+        monkeypatch.setattr(checker, "_MEMORY", 1_000_000)
+        with monkeypatch.context() as nothing_built:
+            nothing_built.setattr(checker, "_cdf_axes", None)
+            for check in (scan_direction, check_direction_inequality):
+                with pytest.raises(MemoryError, match=r"120\^3 pairs of the inequality route"):
+                    check(self.SPEC, self.D, self.GRID)
+            # an unsupported direction needs no table
+            fgm4 = CopulaSpec("fgm", 4, {"lambda": 0.5})
+            pure = check_direction_inequality(fgm4, make_direction([1] * 4), self.GRID)
+            assert pure.outcome == UNSUPPORTED
+        oracle = check_direction_oracle(self.SPEC, self.D, self.GRID)
+        assert oracle.outcome == PASS_AT_RESOLUTION
+        assert scan_direction(self.SPEC, self.D, self.GRID, METHOD_ORACLE).outcome == oracle.outcome
+
+
 class TestSoundnessAndStability:
     def test_counterexamples_reverify_from_scratch(self):
         cases = [
@@ -602,6 +656,34 @@ class TestFgmLaw:
                 ), v.direction.pretty()
 
 
+class TestProductLaw:
+    """For the product copula F_d is a product of per-axis factors, so
+    every swap of the inequality route is an equality, and an oracle step
+    changes one factor of the conditional: an informative step compares 1
+    with 1, and an uninformative one raises it.  So both routes pass every
+    direction under I, and the inequality route passes every direction it
+    supports under D, where the oracle fails its uninformative steps."""
+
+    CASES = [(n, 3) for n in range(2, 7)] + [(2, 15), (3, 7), (4, 4)]
+
+    @pytest.mark.parametrize("n, g", CASES)
+    def test_both_routes_pass_under_increasing(self, n, g):
+        for v in scan_all_directions(CopulaSpec("product", n), GridSpec(g), method=METHOD_BOTH):
+            unsupported = v.direction.is_pure and n > 3
+            assert v.oracle_outcome == PASS_AT_RESOLUTION, v.direction.pretty()
+            assert v.inequality_outcome == (UNSUPPORTED if unsupported else PASS_AT_RESOLUTION)
+            assert v.methods_agree is (None if unsupported else True)
+
+    @pytest.mark.parametrize("n, g", CASES)
+    def test_inequality_passes_under_decreasing(self, n, g):
+        verdicts = scan_all_directions(
+            CopulaSpec("product", n), GridSpec(g), METHOD_INEQUALITY, notion=Notion.DECREASING
+        )
+        for v in verdicts:
+            expected = UNSUPPORTED if v.direction.is_pure and n > 3 else PASS_AT_RESOLUTION
+            assert v.outcome == expected, v.direction.pretty()
+
+
 class TestSurvivalReflection:
     """The survival copula of C is the law of 1 - U, so its F_d at u is
     C's F_{-d} at 1 - u.  Reflecting the lattice maps each comparison
@@ -707,6 +789,17 @@ class TestScanRechecks:
         assert cex.kind == "step" and recheck_counterexample(spec, cex)
         with pytest.raises(ValueError, match="target and an axis"):
             recheck_counterexample(spec, replace(cex, **{missing: None}))
+
+    @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE])
+    def test_nan_tol_is_a_value_error_before_any_evaluation(self, monkeypatch, method):
+        # a nan tol would re-verify no counterexample, pair or step
+        spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        cex = scan_direction(spec, make_direction([1, -1]), GridSpec(9), method).counterexample
+        assert recheck_counterexample(spec, cex)
+        monkeypatch.setattr(checker, "check_pair", None)
+        monkeypatch.setattr(checker, "conditional_prob", None)
+        with pytest.raises(ValueError, match="tol must not be nan"):
+            recheck_counterexample(spec, cex, tol=float("nan"))
 
     @pytest.mark.parametrize("eps_den", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_eps_den_is_a_value_error(self, eps_den):

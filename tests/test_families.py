@@ -8,7 +8,6 @@ from dirmono import (
     cdf,
     check_pair,
     make_direction,
-    marginal_cdf,
     orthant_prob,
     survival_cdf,
     validate,
@@ -77,11 +76,10 @@ class TestValidate:
         [
             cdf,
             survival_cdf,
-            lambda spec, u: marginal_cdf(spec, [0], u),
             lambda spec, u: orthant_prob(spec, make_direction([1] + [-1] * (spec.dim - 1)), u),
             lambda spec, u: check_pair(spec, make_direction([1] + [-1] * (spec.dim - 1)), u, u),
         ],
-        ids=["cdf", "survival_cdf", "marginal_cdf", "orthant_prob", "check_pair"],
+        ids=["cdf", "survival_cdf", "orthant_prob", "check_pair"],
     )
     @pytest.mark.parametrize(
         "spec",

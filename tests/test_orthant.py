@@ -8,35 +8,10 @@ from dirmono import (
     conditional_prob,
     join_direction,
     make_direction,
-    marginal_cdf,
     orthant_prob,
     survival_cdf,
 )
 from helpers import all_sign_vectors, bf_orthant, family_zoo, point_fn
-
-
-class TestMarginalCdf:
-    def test_product_subset(self):
-        spec = CopulaSpec("product", 3)
-        assert marginal_cdf(spec, [0, 2], (0.2, 0.9, 0.5)) == pytest.approx(0.1, abs=1e-15)
-        # the dropped coordinate must not matter
-        assert marginal_cdf(spec, [0, 2], (0.2, 0.1, 0.5)) == pytest.approx(0.1, abs=1e-15)
-
-    def test_full_selection_is_identity(self):
-        rng = np.random.default_rng(21)
-        for spec in [CopulaSpec("fgm", 3, {"lambda": 0.5}), CopulaSpec("m", 2)]:
-            for _ in range(20):
-                u = tuple(rng.random(spec.dim))
-                assert marginal_cdf(spec, range(spec.dim), u) == cdf(spec, u)
-
-    def test_empty_selection_is_one(self):
-        spec = CopulaSpec("amh", 2, {"delta": 0.5})
-        assert marginal_cdf(spec, [], (0.3, 0.4)) == 1.0
-
-    def test_index_out_of_range(self):
-        spec = CopulaSpec("product", 2)
-        with pytest.raises(IndexError):
-            marginal_cdf(spec, [2], (0.3, 0.4))
 
 
 class TestOrthantProb:
