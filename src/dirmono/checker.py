@@ -59,15 +59,29 @@ keeps results deterministic and independent of block size.  Both find
 it after the scan: the inequality route axis by axis in its slack
 array, the oracle's locate step at the first violating target, which it
 reaches in lattice order.
+
+``scan_all_directions`` splits its directions into w interleaved shares,
+``chosen[i::w]``, where w is the least of the CPUs this process may use,
+the number of directions, and how many of ``_check_lattice``'s charges
+fit in memory.  It scans share 0 itself and each other share in a worker
+forked after the copula table is built, which reads the table it
+inherits and pipes back its pickled verdicts, or the exception it raised,
+raised again with its type and message; one that ends without a result
+raises ChildProcessError.  Every worker is reaped before the scan returns
+or raises.  Without ``os.fork`` or ``os.sched_getaffinity``, or when a
+fork fails, the share is scanned in this process.  Every verdict comes
+from ``scan_direction`` either way, so none depends on w.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -190,18 +204,21 @@ def _check_settings(
     return Notion(notion)
 
 
-def _check_lattice(n: int, g: int, method: str) -> None:
+def _check_lattice(n: int, g: int, method: str) -> int:
     """Refuse, before anything is allocated, a lattice that no table can
     hold: more axes than an array has, more bytes at the peak of the tables
     than the machine has memory, or, when the inequality route runs, more
-    at the peak of its pair arrays."""
+    at the peak of its pair arrays.  Returns the bytes charged for both."""
     if n > _MAX_DIM:
         raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
-    if (g + 1) ** n * _TABLE_PEAK_BYTES > _MEMORY:
+    charge = (g + 1) ** n * _TABLE_PEAK_BYTES
+    if charge > _MEMORY:
         raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
     pairs = g * (g + 1) // 2
-    if method != METHOD_ORACLE and pairs**n * _PAIR_PEAK_BYTES > _MEMORY:
+    pair_charge = 0 if method == METHOD_ORACLE else pairs**n * _PAIR_PEAK_BYTES
+    if pair_charge > _MEMORY:
         raise MemoryError(f"the {pairs}^{n} pairs of the inequality route do not fit in memory")
+    return charge + pair_charge
 
 
 def _check_tol(tol: float) -> None:
@@ -634,7 +651,9 @@ def scan_all_directions(
     refused before anything is allocated: more axes than an array has,
     more bytes at the peak of the tables than the machine has memory, or,
     when the inequality route runs, more at the peak of its pair arrays.
-    The copula table is built once and handed to every direction.
+    The copula table is built once and handed to every direction.  The
+    directions are scanned in interleaved shares, one per usable CPU as far
+    as memory allows, each but the first in a forked worker (``_in_workers``).
     """
     validate(spec)
     notion = _check_settings(tol, notion, eps_den, method)
@@ -647,13 +666,60 @@ def scan_all_directions(
             seen.add(d)
         if not directions:
             return []
-    _check_lattice(spec.dim, grid.resolution, method)
-    chosen = iter_directions(spec.dim) if directions is None else directions
+    charge = _check_lattice(spec.dim, grid.resolution, method)
+    chosen = list(iter_directions(spec.dim) if directions is None else directions)
     ctable = _copula_table(spec, grid)
-    return [
-        scan_direction(spec, d, grid, method, tol, eps_den, notion, ctable=ctable)
-        for d in chosen
-    ]
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if can_fork else 1
+    w = max(1, min(cpus, len(chosen), _MEMORY // charge))
+
+    def scan(share: list[Direction]) -> list[DirectionVerdict]:
+        return [scan_direction(spec, d, grid, method, tol, eps_den, notion, ctable=ctable)
+                for d in share]
+
+    shares = _in_workers(scan, [chosen[i::w] for i in range(w)])
+    return [shares[i % w][i // w] for i in range(len(chosen))]
+
+
+def _in_workers(scan: Callable[[list], list], shares: list) -> list:
+    """``scan`` of each share: the first here, each other in a forked worker
+    that pipes back its result or its exception, or here when its fork fails.
+    Every worker is reaped before this returns or raises."""
+    pipes = {}  # share index -> (pid, read end of the worker's pipe)
+    try:
+        for i in range(1, len(shares)):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:  # the worker, which must not return
+                try:
+                    with os.fdopen(w, "wb") as out:
+                        try:
+                            out.write(pickle.dumps((True, scan(shares[i]))))
+                        except Exception as exc:
+                            out.write(pickle.dumps((False, exc)))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            pipes[i] = (pid, os.fdopen(r, "rb"))
+        results = [None if i in pipes else scan(share) for i, share in enumerate(shares)]
+        for i, (_, out) in pipes.items():
+            if not (data := out.read()):
+                raise ChildProcessError("a scan worker ended without a result")
+            ok, results[i] = pickle.loads(data)
+            if not ok:
+                raise results[i]
+        return results
+    finally:
+        for pid, out in pipes.values():
+            out.close()
+            # a worker whose result was read has only its exit left; stop any other
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def recheck_counterexample(

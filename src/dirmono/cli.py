@@ -12,10 +12,10 @@ usage-error line.
 
 Exit codes: 0 every requested direction passed at the grid resolution,
 1 some direction was refuted (or could not be fully checked), 2 usage or
-configuration error, or a scan that ran out of memory, 3 the two check
-methods disagreed somewhere or a reported counterexample did not
-re-verify (an internal defect worth reporting, not a property of the
-copula).
+configuration error, a scan that ran out of memory, or a scan worker
+that ended without a result, 3 the two check methods disagreed somewhere
+or a reported counterexample did not re-verify (an internal defect worth
+reporting, not a property of the copula).
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return run(parse_config(argv))
-    except ValueError as exc:
+    except (ValueError, ChildProcessError) as exc:
         print(f"dirmono: error: {exc}", file=sys.stderr)
         return 2
 

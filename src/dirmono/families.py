@@ -6,8 +6,10 @@ The public evaluators validate the spec and accept either a single point
 Specs are immutable; evaluation is pure.
 
 One function, ``_cdf_axes``, evaluates every family on per-axis
-coordinates that broadcast together, with 1.0 pinning an axis; survival
+coordinates that broadcast together, with 1 pinning an axis; survival
 evaluates each margin of its inner copula only on the axes it keeps.
+Its literals are integers, so that ``Fraction`` coordinates and
+parameters give ``Fraction`` values, and floats the same floats.
 
 Families:
 
@@ -168,25 +170,25 @@ def _cdf_axes(spec: CopulaSpec, xs: Sequence) -> np.ndarray:
     if spec.family == UPPER_FRECHET:
         return functools.reduce(np.minimum, xs)
     if spec.family == LOWER_FRECHET:
-        return np.maximum(0.0, xs[0] + xs[1] - 1.0)
+        return np.maximum(0, xs[0] + xs[1] - 1)
     if spec.family == FGM:
         lam = spec.params["lambda"]
-        return math.prod(xs) * (1.0 + lam * math.prod(1.0 - x for x in xs))
+        return math.prod(xs) * (1 + lam * math.prod(1 - x for x in xs))
     if spec.family == AMH:
         delta = spec.params["delta"]
         un, vn = xs
         num = un * vn
-        den = 1.0 + delta * (1.0 - un) * (1.0 - vn)
+        den = 1 + delta * (1 - un) * (1 - vn)
         # delta = -1 makes the corner u = v = 0 a removable 0/0; the value is 0
-        return np.where(num == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
+        return np.where(num == 0, 0, num / np.where(den == 0, 1, den))
     if spec.family == CONVEX_PI_M:
         theta = spec.params["theta"]
-        return theta * math.prod(xs) + (1.0 - theta) * functools.reduce(np.minimum, xs)
+        return theta * math.prod(xs) + (1 - theta) * functools.reduce(np.minimum, xs)
     if spec.family == SURVIVAL:
-        flipped = [1.0 - x for x in xs]
+        flipped = [1 - x for x in xs]
 
         def margin(selected: tuple[int, ...]) -> np.ndarray:
-            kept = [flipped[k] if k in selected else 1.0 for k in range(spec.dim)]
+            kept = [flipped[k] if k in selected else 1 for k in range(spec.dim)]
             return _cdf_axes(spec.inner, kept)
 
         return _signed_sum(margin, (), range(spec.dim))
@@ -209,9 +211,9 @@ def _signed_sum(
     """Sum over subsets S of ``free`` of (-1)**|S| times ``margin(fixed + S)``:
     the copula with every coordinate outside ``fixed`` and S pinned to 1;
     the last margin, on ``fixed`` and all of ``free``, sets the shape."""
-    total = 0.0
+    total = 0
     for size in range(len(free) + 1):
-        sign = -1.0 if size % 2 else 1.0
+        sign = -1 if size % 2 else 1
         for subset in itertools.combinations(free, size):
             total = total + sign * margin(fixed + subset)
     return total

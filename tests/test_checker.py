@@ -1,4 +1,6 @@
 import gc
+import os
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -33,7 +35,7 @@ from dirmono import (
     scan_all_directions,
     scan_direction,
 )
-from dirmono import checker, families, survival_cdf
+from dirmono import checker, cli, families, survival_cdf
 from dirmono.checker import DEFAULT_TOL, Counterexample
 from dirmono.orthant import DEFAULT_EPS_DEN, _orthant_array
 from helpers import family_zoo, lattice
@@ -332,7 +334,9 @@ class TestScans:
     def test_both_routes_share_one_table_per_direction(self, monkeypatch):
         # one F_d per direction for both routes, all read off one copula
         # table per scan, evaluated in one call on the lattice's axes; the
-        # scalar recheck evaluates single points and pair corners
+        # scalar recheck evaluates single points and pair corners; on one
+        # CPU, so that every call is counted in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         read, tables = checker._orthant_table, Counter()
         evaluate, shapes = families._cdf_axes, Counter()
 
@@ -356,7 +360,9 @@ class TestScans:
 
     def test_oracle_only_scan_builds_no_survival_table(self, monkeypatch):
         # only the inequality route reads the all-positive direction's
-        # survival table in dims 2 and 3
+        # survival table in dims 2 and 3; on one CPU, so that every call is
+        # recorded in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         evaluate, families_built = checker._cdf_axes, []
 
         def recorded(spec, xs):
@@ -511,6 +517,150 @@ class TestLatticeCost:
         oracle = check_direction_oracle(self.SPEC, self.D, self.GRID)
         assert oracle.outcome == PASS_AT_RESOLUTION
         assert scan_direction(self.SPEC, self.D, self.GRID, METHOD_ORACLE).outcome == oracle.outcome
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelScan:
+    """``scan_all_directions`` splits its directions into interleaved
+    shares, scanning all but the first in forked workers; the CPUs are
+    patched so that the tests do not depend on the machine."""
+
+    @pytest.fixture(params=[2, 4], ids=["2cpus", "4cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        fork, calls = os.fork, []
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def _in_workers_only(monkeypatch, fail):
+        # ``fail`` runs in place of every direction's scan in a worker
+        parent, scan = os.getpid(), checker.scan_direction
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                fail()
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(checker, "scan_direction", failing)
+
+    @pytest.mark.parametrize("notion", list(Notion), ids=lambda n: n.value)
+    @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH])
+    def test_verdicts_do_not_depend_on_the_cpus(self, monkeypatch, cpus, forks, method, notion):
+        for spec in family_zoo():
+            grid = GridSpec(3 if spec.dim <= 3 else 2)
+            every = all_directions(spec.dim)
+            # out of lattice order, so that the verdicts' order is the request's
+            for chosen in (None, every[-1:], every[::-1][:2], [every[2], every[0], every[-1]]):
+                kwargs = dict(method=method, notion=notion, directions=chosen)
+                shared = scan_all_directions(spec, grid, **kwargs)
+                with monkeypatch.context() as one_cpu:
+                    one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+                    assert shared == scan_all_directions(spec, grid, **kwargs), spec.describe()
+                assert [v.direction for v in shared] == list(chosen or every)
+        _no_child_left()
+        # each scan of all 2^n >= 4 directions forks a worker per share but the first
+        assert len(forks) >= len(family_zoo()) * (cpus - 1)
+
+    @pytest.mark.parametrize(
+        "error", [MemoryError("worker out of memory"), ValueError("worker refused")],
+        ids=["memory", "value"],
+    )
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, capsys, cpus, error):
+        def fail():
+            raise error
+
+        self._in_workers_only(monkeypatch, fail)
+        spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
+        with pytest.raises(type(error)) as raised:
+            scan_all_directions(spec, GridSpec(4))
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        _no_child_left()
+        argv = ["check", "--family", "fgm", "--dim", "3", "--lambda", "0.5", "--grid", "4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("dirmono: error:")
+        assert str(error) in captured.err and "Traceback" not in captured.err
+        _no_child_left()
+
+    def test_an_exception_here_stops_the_workers(self, monkeypatch, cpus):
+        parent, scan = os.getpid(), checker.scan_direction
+
+        def slow_workers(*args, **kwargs):
+            if os.getpid() == parent:
+                raise ValueError("refused here")
+            time.sleep(30)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(checker, "scan_direction", slow_workers)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="refused here"):
+            scan_all_directions(CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(4))
+        assert time.monotonic() - start < 10
+        _no_child_left()
+
+    def test_a_worker_without_a_result_is_one_error_line(self, monkeypatch, capsys, cpus):
+        self._in_workers_only(monkeypatch, lambda: os._exit(1))
+        spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            scan_all_directions(spec, GridSpec(4))
+        _no_child_left()
+        argv = ["check", "--family", "fgm", "--dim", "3", "--lambda", "0.5", "--grid", "4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dirmono: error: a scan worker ended without a result\n"
+        _no_child_left()
+
+    @pytest.mark.parametrize("method", [METHOD_ORACLE, METHOD_BOTH])
+    def test_workers_are_capped_by_the_lattice_charge(self, monkeypatch, cpus, forks, method):
+        spec, grid = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(4)
+        shared = scan_all_directions(spec, grid, method=method)
+        charge = checker._check_lattice(3, 4, method)
+        for admitted in (1, 2):
+            forks.clear()
+            monkeypatch.setattr(checker, "_MEMORY", admitted * charge + charge - 1)
+            assert scan_all_directions(spec, grid, method=method) == shared
+            assert len(forks) == admitted - 1
+        _no_child_left()
+
+    def test_no_fork_for_one_charge_or_one_direction(self, monkeypatch, cpus):
+        def refused():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refused)
+        spec, grid = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(4)
+        one = [make_direction([1, -1, 1])]
+        assert scan_all_directions(spec, grid, directions=one)[0].direction == one[0]
+        monkeypatch.setattr(checker, "_MEMORY", checker._check_lattice(3, 4, METHOD_BOTH))
+        assert len(scan_all_directions(spec, grid)) == 8
+
+    def test_a_failed_fork_scans_its_share_here(self, monkeypatch, cpus):
+        spec, grid = CopulaSpec("fgm", 3, {"lambda": -0.5}), GridSpec(4)
+        shared = scan_all_directions(spec, grid)
+
+        def refused():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert scan_all_directions(spec, grid) == shared
+        monkeypatch.delattr(os, "fork")
+        assert scan_all_directions(spec, grid) == shared
+        _no_child_left()
 
 
 class TestSoundnessAndStability:

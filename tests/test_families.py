@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from dirmono import (
     survival_cdf,
     validate,
 )
+from dirmono.families import _cdf_axes
 from helpers import (
     Box,
     bf_survival,
@@ -215,6 +219,28 @@ class TestSurvival:
             assert cdf(spec, (u, v, 1.0)) == pytest.approx(u * v, abs=1e-15)
             assert cdf(spec, (u, 1.0, v)) == pytest.approx(u * v, abs=1e-15)
             assert cdf(spec, (1.0, u, v)) == pytest.approx(u * v, abs=1e-15)
+
+
+def _exact(spec):
+    """``spec`` with ``Fraction`` parameters, its inner spec's too."""
+    inner = spec.inner and _exact(spec.inner)
+    return replace(spec, params={k: Fraction(v) for k, v in spec.params.items()}, inner=inner)
+
+
+class TestExactArithmetic:
+    @pytest.mark.parametrize(
+        "spec",
+        [s for z in family_zoo() for s in (z, CopulaSpec("survival", z.dim, inner=z))],
+        ids=lambda s: s.describe(),
+    )
+    def test_fraction_inputs_give_no_float(self, spec):
+        # every lattice point and pinned margin, on object arrays of Fraction
+        # coordinates 0, 1/3, 2/3 and 1, broadcast per axis as a table is built
+        points = np.array([Fraction(k, 3) for k in range(4)], dtype=object)
+        xs = [points.reshape((-1,) + (1,) * (spec.dim - 1 - k)) for k in range(spec.dim)]
+        values = np.ravel(_cdf_axes(_exact(spec), xs))
+        assert values.size == 4**spec.dim
+        assert not [v for v in values if isinstance(v, float)]
 
 
 class TestCopulaAxioms:
