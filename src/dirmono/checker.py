@@ -23,21 +23,39 @@ one reads the survival copula (``_survival_table``), evaluated per axis
 too since flipping C's table is not bit-exact.  Both routes gather from
 these tables by per-axis ``take``s of the per-axis pairs lo <= hi, with no
 per-pair index vectors.  The oracle takes those pairs as a condition w
-and its join z with the target: a step leaves z as it is, or steps it
-with w where the two share the stepped coordinate, so a comparison
-depends on the target only through z, and each distinct (w, z, axis) is
-evaluated once; its count is taken once per direction, off the mask of
-defined conditions, before any is evaluated.  It reads F_d with
-the negative axes flipped, where a step along d raises every index, so
-the same per-axis pairs serve all 2^n directions.  It works in blocks of
-(w, z) pairs, so its memory is O(block + (g+1)^n), never g^n x g^n.  It
-walks its lead axis one join j at a time, from the last, and the
-conditions of a join from the largest, so that a lead-axis step reads
-the next row of its block, the first row of the join's previous block,
-or, from the diagonal (j, j), the diagonal row (j+1, j+1) kept from the
-join before.  The walk only decides, keeping the maximum slack; when it
-exceeds tol, a locate step applies the definition to chunks of targets in
+and its join z with the target: a step leaves z as it is, or, where the
+two share the stepped coordinate (an informative step), steps it with w,
+so a comparison depends on the target only through z, and each distinct
+(w, z, axis) is evaluated at most once; its count is taken once per
+direction, off the mask of defined conditions, before any is evaluated.
+It reads F_d with the negative axes flipped, where a step along d raises
+every index, so the same per-axis pairs serve all 2^n directions.
+
+Under I the oracle first runs an O(n g^n) guard on that table: every
+entry is in [+0.0, 2] (its sign bit clear, and small enough that no
+quotient by a den >= eps_den overflows), and along every axis den, F_d
+where defined, never rises at a step between defined ends.  When it
+holds, the oracle compares the informative steps alone: per axis k, the
+quotients at w_k = z_k = j against those at j + 1, over every pair of
+the other axes, n g (g(g+1)/2)^(n-1) quotients in all where the walk
+takes (g(g+1)/2)^n.  This is the walk's maximum, bit for bit.  Every other
+step's slack is fl(x/a) - fl(x/b), with x = F_d(z) >= 0 and
+a = den(w) >= b = den(w + e_k) > 0, so it is at most +0.0, since
+correctly rounded division and subtraction are monotone.  The
+informative steps hold 1.0 - 1.0 = +0.0 at w = z.  So the maximum, the
+verdict and every report byte are the walk's.  Under D, whose other
+steps have positive slacks that set the maximum, and wherever the guard
+fails, the oracle walks every (w, z) pair.  The walk takes its lead axis
+one join j at a time, from the last, and the conditions of a join from
+the largest, so that a lead-axis step reads the next row of its block,
+the first row of the join's previous block, or, from the diagonal
+(j, j), the diagonal row (j+1, j+1) kept from the join before.  Both
+work in blocks of at most _BLOCK (w, z) pairs, carrying a row from one
+block to the next, so the oracle's memory is O(block + (g+1)^n), never
+g^n x g^n.  They only decide, keeping the maximum slack; when it exceeds
+tol, a locate step applies the definition to chunks of targets in
 lattice order, reading F_d at each target's join with every condition.
+
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: they evaluate
 F_d at single points as the signed sum of margins (``_orthant_array``),
@@ -51,14 +69,16 @@ no defined comparison is unsupported, not a pass.  Pure directions in
 dimension >= 4 have no supported inequality form and are routed to the
 oracle.
 
-Scans evaluate every pair (no short-circuit) so that slack statistics
-are always complete; the reported counterexample is the first violation
-in lexicographic order of the concatenated pair coordinates (inequality)
-or of the flat (target, earlier condition, axis) indices (oracle), which
-keeps results deterministic and independent of block size.  Both find
-it after the scan: the inequality route axis by axis in its slack
-array, the oracle's locate step at the first violating target, which it
-reaches in lattice order.
+No scan stops at its first violation, so its maximum slack is always
+the maximum over every comparison, though the oracle under the guard
+reaches it without evaluating the steps that cannot set it.  The
+reported counterexample is the first violation in lexicographic order of
+the concatenated pair coordinates (inequality) or of the flat (target,
+earlier condition, axis) indices (oracle), which keeps results
+deterministic and independent of block size.  Both find it after the
+scan: the inequality route axis by axis in its slack array, the
+oracle's locate step at the first violating target, which it reaches in
+lattice order.
 
 ``scan_all_directions`` splits its directions into w interleaved shares,
 ``chosen[i::w]``, where w is the least of the CPUs this process may use,
@@ -418,15 +438,25 @@ def check_direction_oracle(
     copula table as ``scan_direction`` reads it.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
-    w in d's order; each distinct (w, z, axis) is evaluated once, in
-    blocks of at most _BLOCK (w, z) pairs.  ``pairs_tested`` counts every
-    target, paired with every defined condition that steps to a defined
-    condition, along every axis; it is counted before the walk.
+    w in d's order; each distinct (w, z, axis) is evaluated at most once,
+    in blocks of at most _BLOCK (w, z) pairs.  ``pairs_tested`` counts
+    every target, paired with every defined condition that steps to a
+    defined condition, along every axis; it is counted before any is
+    evaluated.
 
-    The walk only decides, by the maximum slack.  On a refutation a locate
-    step applies the definition to chunks of targets in lattice order: the
-    first True of a chunk's (target, condition, axis) violations in C order
-    is the counterexample, each quotient the walk's division of its operands.
+    The scan only decides, by the maximum slack, and takes it one of two
+    ways.  Under I, when F_d is in [+0.0, 2] and no defined
+    conditioning probability rises at a step to a defined one, only the
+    informative steps, where w and z share the stepped coordinate, are
+    evaluated.  Every other step divides one F_d(z) >= 0 by a
+    conditioning probability that does not rise, so its slack is at most
+    +0.0 after rounding, and the informative steps hold +0.0 at w = z:
+    the maximum is the same, bit for bit.  Under D, and where that guard
+    fails, every (w, z) pair is walked.  On a refutation a locate step
+    applies the definition to chunks of targets in lattice order: the
+    first True of a chunk's (target, condition, axis) violations in C
+    order is the counterexample, each quotient the scan's division of its
+    operands.
     """
     _check_direction(spec, d)
     notion = _check_settings(tol, notion, eps_den)
@@ -496,24 +526,61 @@ def check_direction_oracle(
         for k in range(lead + 1, n):
             yield oriented(block[(slice(None),) * k + (slice(pairs - 1),)], block.take(nxt, axis=k))
 
-    max_slack = -np.inf  # the walk only decides
-    for head in np.ndindex((pairs,) * lead):
-        # the diagonal row of the join before; the last join's has no step
-        diagonal_row = None
-        for j in range(g - 1, -1, -1):
-            # the row after the block's last, along lead
-            following = diagonal_row
-            for i1 in range(j + 1, 0, -run):
-                i0 = max(i1 - run, 0)
-                block = quotient(head, i0, i1, j)
-                for slack in compare_block(head, i0, i1, j, block, following):
-                    max_slack = max(max_slack, float(slack.max()))
-                    del slack  # freed before the next comparison is computed
-                # copied, so that the rest of the block can be freed
-                if i1 == j + 1:
-                    diagonal_row = block[at + (slice(-1, None),)].copy()
-                following = block[at + (slice(1),)].copy()
-    del block, following, diagonal_row  # the walk's rows, freed before the locate step
+    def walk() -> float:
+        # the maximum slack of every comparison
+        max_slack = -np.inf
+        for head in np.ndindex((pairs,) * lead):
+            # the diagonal row of the join before; the last join's has no step
+            diagonal_row = None
+            for j in range(g - 1, -1, -1):
+                # the row after the block's last, along lead
+                following = diagonal_row
+                for i1 in range(j + 1, 0, -run):
+                    i0 = max(i1 - run, 0)
+                    block = quotient(head, i0, i1, j)
+                    for slack in compare_block(head, i0, i1, j, block, following):
+                        max_slack = max(max_slack, float(slack.max()))
+                        del slack  # freed before the next comparison is computed
+                    # copied, so that the rest of the block can be freed
+                    if i1 == j + 1:
+                        diagonal_row = block[at + (slice(-1, None),)].copy()
+                    following = block[at + (slice(1),)].copy()
+        return max_slack
+
+    def informative() -> float:
+        # the maximum slack of the comparisons whose condition and join share
+        # the stepped coordinate: along each axis k, the quotients at
+        # w_k = z_k = j against those at j + 1, over every pair of the other
+        # axes; blocks as the walk's, with k in lead's place: the first lead
+        # other axes take one pair, k a run of rows and the tail every pair
+        max_slack = -np.inf
+        for k in range(n):
+            joins, conditions = np.moveaxis(table, k, 0), np.moveaxis(den, k, 0)
+            for head in np.ndindex((pairs,) * lead):
+                last = None  # the last row of the block before, along k
+                for j in range(0, g, run):
+                    z = joins[(slice(j, j + run),) + tuple(hi[a] for a in head)]
+                    w = conditions[(slice(j, j + run),) + tuple(lo[a] for a in head)]
+                    for m in range(tail, 0, -1):
+                        z, w = z.take(hi, axis=m), w.take(lo, axis=m)
+                    block = z / w
+                    if last is not None:
+                        max_slack = max(max_slack, float(oriented(last, block[0]).max()))
+                    if len(block) > 1:
+                        max_slack = max(max_slack, float(oriented(block[:-1], block[1:]).max()))
+                    last = block[-1].copy()  # so that the rest of the block can be freed
+        return max_slack
+
+    # the guard of the module docstring: then every other comparison is
+    # fl(x/a) - fl(x/b) with 0 <= x <= 2 and a >= b >= eps_den, at most +0.0
+    # and never nan, and the informative ones hold 1.0 - 1.0 at w = z
+    informative_only = (
+        notion is Notion.INCREASING
+        and not np.signbit(table).any()
+        and table.max() <= 2.0
+        and not any((np.diff(den, axis=k) > 0).any() for k in range(n))
+    )
+    max_slack = informative() if informative_only else walk()
     if not max_slack > tol:
         return DirectionVerdict(d, METHOD_ORACLE, PASS_AT_RESOLUTION, comparisons, max_slack, None)
 
@@ -590,6 +657,9 @@ def scan_direction(
     Both routes take F_d read off ``ctable``, the copula table of the
     spec and lattice (``_copula_table``), which ``scan_all_directions``
     builds once for all its directions; it is built here when not given.
+    F_d is read only when a route reads it: not when the inequality route
+    runs alone on a pure direction other than the all-negative one in
+    dims 2 and 3.
     The lattice is charged as ``scan_all_directions`` charges it.
     """
     _check_direction(spec, d)
@@ -597,7 +667,10 @@ def scan_direction(
     _check_lattice(spec.dim, grid.resolution, method)
     if ctable is None:
         ctable = _copula_table(spec, grid)
-    table = _orthant_table(ctable, d)
+    # the inequality route reads F_d for mixed directions and, in dims 2 and
+    # 3, for the all-negative one
+    inequality_reads = not d.is_pure or (d.signs[0] < 0 and spec.dim <= 3)
+    table = _orthant_table(ctable, d) if method != METHOD_INEQUALITY or inequality_reads else None
     ineq = orac = None
     if method != METHOD_ORACLE:
         ineq = check_direction_inequality(spec, d, grid, tol, notion, table=table)

@@ -122,6 +122,39 @@ def bivariate_zoo():
     return [s for s in family_zoo() if s.dim == 2]
 
 
+
+def oracle_max_slack(table, signs, eps_den, decreasing, informative_only=False):
+    """The oracle's maximum slack, dense, off its definition: over every
+    condition w, join z >= w and axis k of F_d (``table``, shape (g,)*n)
+    with the negative axes of ``signs`` flipped, the quotient F_d(z)/F_d(w)
+    against the one at w + e_k and its join with z, a quotient whose
+    F_d(w) is below ``eps_den`` read as nan and a nan slack as -inf.
+    ``informative_only`` keeps the steps where w and z share coordinate k.
+    Every (w, z) pair is held at once, in numpy, so keep g^n small."""
+    g, n = table.shape[0], table.ndim
+    oriented = table[tuple(slice(None, None, s) for s in signs)]
+    den = np.where(oriented >= eps_den, oriented, np.nan)
+    points = np.array(list(product(range(g), repeat=n)))
+    shape = (len(points), len(points), n)
+    w, z = np.broadcast_to(points[:, None], shape), np.broadcast_to(points[None], shape)
+
+    def at(p):
+        return tuple(np.moveaxis(p, -1, 0))
+
+    best = -np.inf
+    for k in range(n):
+        w2 = w.copy()
+        w2[..., k] = np.minimum(w[..., k] + 1, g - 1)
+        z2 = np.maximum(z, w2)
+        lhs = oriented[at(z)] / den[at(w)]
+        rhs = oriented[at(z2)] / den[at(w2)]
+        slack = rhs - lhs if decreasing else lhs - rhs
+        kept = (w <= z).all(axis=-1) & (w[..., k] < g - 1)
+        if informative_only:
+            kept &= w[..., k] == z[..., k]
+        best = max(best, float(np.where(np.isnan(slack), -np.inf, slack)[kept].max()))
+    return best
+
 def all_sign_vectors(n):
     return list(product((1, -1), repeat=n))
 

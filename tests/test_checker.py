@@ -38,7 +38,7 @@ from dirmono import (
 from dirmono import checker, cli, families, survival_cdf
 from dirmono.checker import DEFAULT_TOL, Counterexample
 from dirmono.orthant import DEFAULT_EPS_DEN, _orthant_array
-from helpers import family_zoo, lattice
+from helpers import family_zoo, lattice, oracle_max_slack
 
 
 def pass_set(verdicts):
@@ -373,6 +373,25 @@ class TestScans:
         spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
         scan_all_directions(spec, GridSpec(5), method=METHOD_ORACLE)
         assert families_built == ["fgm"]
+
+    def test_inequality_only_scan_builds_no_unread_f_d(self, monkeypatch):
+        # the inequality route reads the survival table for the all-positive
+        # direction in dims 2 and 3, and no table for a pure direction beyond;
+        # on one CPU, so that every call is recorded in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        read, built = checker._orthant_table, []
+
+        def recorded(ctable, d):
+            built.append(d.signs)
+            return read(ctable, d)
+
+        monkeypatch.setattr(checker, "_orthant_table", recorded)
+        for n in (3, 4):
+            spec = CopulaSpec("fgm", n, {"lambda": 0.5})
+            scan_all_directions(spec, GridSpec(3), method=METHOD_INEQUALITY)
+        read_ones = [d.signs for d in all_directions(3) if d.signs != (1, 1, 1)]
+        read_ones += [d.signs for d in all_directions(4) if not d.is_pure]
+        assert sorted(built) == sorted(read_ones)
 
     def test_repeated_direction_is_refused_before_any_table(self, monkeypatch):
         monkeypatch.setattr(checker, "_copula_table", None)
@@ -1248,6 +1267,65 @@ class TestOracleMatchesScalar:
             tracemalloc.stop()
         assert v.outcome == REFUTED
         assert peak < 640 * 2**10
+
+
+def _maximum_cases():
+    # every spec at the lattice of the verdict digest's zoo grid, and the
+    # dim-2 ones at g = 9 as well
+    grids = {2: 6, 3: 4, 4: 3, 5: 3}
+    cases = [(s, grids[s.dim]) for s in family_zoo()]
+    return cases + [(s, 9) for s in family_zoo() if s.dim == 2]
+
+
+class TestOracleMaximum:
+    @pytest.mark.parametrize(
+        "spec, g",
+        _maximum_cases(),
+        ids=lambda c: c.describe() if isinstance(c, CopulaSpec) else f"g{c}",
+    )
+    def test_max_slack_is_the_dense_maximum(self, spec, g):
+        # bit for bit, by repr, so that a changed last bit or sign of zero shows
+        grid = GridSpec(g)
+        ctable = checker._copula_table(spec, grid)
+        for d in all_directions(spec.dim):
+            table = checker._orthant_table(ctable, d)
+            for notion, eps_den in product(Notion, (1e-12, 0.05, 0.3)):
+                v = check_direction_oracle(
+                    spec, d, grid, eps_den=eps_den, notion=notion, table=table
+                )
+                dense = oracle_max_slack(table, d.signs, eps_den, notion is Notion.DECREASING)
+                expected = None if dense == -np.inf else dense
+                assert repr(v.max_slack) == repr(expected), (d.pretty(), notion, eps_den)
+
+    @pytest.mark.parametrize(
+        "spec, g, signs, eps_den, dense, informative",
+        [
+            (CopulaSpec("m", 2), 9, (1, 1), 1e-12, 6.661338147750939e-16, 5.551115123125783e-16),
+            (CopulaSpec("m", 2), 9, (1, 1), 0.05, 6.661338147750939e-16, 5.551115123125783e-16),
+            (CopulaSpec("convexpim", 2, {"theta": 0.0}), 9, (1, 1), 1e-12,
+             6.661338147750939e-16, 5.551115123125783e-16),
+            (CopulaSpec("convexpim", 2, {"theta": 0.0}), 9, (1, 1), 0.05,
+             6.661338147750939e-16, 5.551115123125783e-16),
+            (_survival_of(CopulaSpec("w", 2)), 6, (1, -1), 0.3,
+             5.551115123125783e-16, 2.220446049250313e-16),
+            (_survival_of(CopulaSpec("w", 2)), 6, (-1, 1), 0.3,
+             5.551115123125783e-16, 2.220446049250313e-16),
+        ],
+        ids=["m2-1e-12", "m2-0.05", "convexpim0-1e-12", "convexpim0-0.05", "sw+-", "sw-+"],
+    )
+    def test_an_uninformative_step_sets_the_maximum(
+        self, spec, g, signs, eps_den, dense, informative
+    ):
+        # passes under I whose maximum only a step that leaves the join where
+        # it is reaches: a scan that read the informative steps alone here
+        # would report the smaller maximum
+        d, grid = make_direction(signs), GridSpec(g)
+        table = checker._orthant_table(checker._copula_table(spec, grid), d)
+        v = check_direction_oracle(spec, d, grid, eps_den=eps_den, table=table)
+        assert v.outcome == PASS_AT_RESOLUTION
+        assert v.max_slack == oracle_max_slack(table, signs, eps_den, False) == dense
+        assert oracle_max_slack(table, signs, eps_den, False, informative_only=True) == informative
+        assert informative < dense
 
 
 class TestInequalityMemory:

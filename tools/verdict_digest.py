@@ -16,6 +16,10 @@ Groups:
   verdict of the zoo grid with ``checker._BLOCK`` set to B, for B in 1,
   2, 7 and the default; the blocks below the default leave out n = 5,
   where a block of one pair takes half a second per verdict;
+* ``oracle g=9``: the same ``repr`` at the default block for the dim-2
+  specs of the zoo grid on the lattice of 9 points per axis, where m and
+  convexpim theta=0 hold passes whose maximum only a step that leaves the
+  join with the target where it is reaches;
 * ``inequality``: the ``repr`` of every ``check_direction_inequality``
   verdict of the zoo grid (it reads no ``eps_den``);
 * ``tables``: the bytes of ``checker._copula_table``, of every
@@ -92,24 +96,28 @@ def zoo_specs() -> list[CopulaSpec]:
     return family_zoo() + [CopulaSpec("fgm", 5, {"lambda": lam}) for lam in (-1.0, 1.0)]
 
 
-def zoo(max_dim: int = 5):
+def zoo(max_dim: int = 5, grids: dict[int, int] = GRIDS):
     for spec in (s for s in zoo_specs() if s.dim <= max_dim):
-        grid = checker.GridSpec(GRIDS[spec.dim])
+        grid = checker.GridSpec(grids[spec.dim])
         for d in all_directions(spec.dim):
             for notion in Notion:
                 for tol in TOLS:
                     yield spec, d, grid, notion, tol
 
 
-def oracle_digest(block: int) -> str:
+def oracle_digest(runs) -> str:
+    digest = hashlib.sha256()
+    for spec, d, grid, notion, tol in runs:
+        for eps_den in EPS_DENS:
+            v = checker.check_direction_oracle(spec, d, grid, tol, eps_den, notion)
+            digest.update(repr(v).encode())
+    return digest.hexdigest()
+
+
+def blocked_oracle_digest(block: int) -> str:
     default, checker._BLOCK = checker._BLOCK, block
     try:
-        digest = hashlib.sha256()
-        for spec, d, grid, notion, tol in zoo(5 if block == default else 4):
-            for eps_den in EPS_DENS:
-                v = checker.check_direction_oracle(spec, d, grid, tol, eps_den, notion)
-                digest.update(repr(v).encode())
-        return digest.hexdigest()
+        return oracle_digest(zoo(5 if block == default else 4))
     finally:
         checker._BLOCK = default
 
@@ -178,7 +186,8 @@ def errors_digest() -> str:
 
 def main() -> None:
     for block in BLOCKS:
-        print(f"oracle block={block}", oracle_digest(block), flush=True)
+        print(f"oracle block={block}", blocked_oracle_digest(block), flush=True)
+    print("oracle g=9", oracle_digest(zoo(2, {2: 9})), flush=True)
     print("inequality", inequality_digest(), flush=True)
     print("tables", tables_digest(), flush=True)
     print("fixtures", fixtures_digest(), flush=True)
