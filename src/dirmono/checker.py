@@ -31,30 +31,31 @@ direction, off the mask of defined conditions, before any is evaluated.
 It reads F_d with the negative axes flipped, where a step along d raises
 every index, so the same per-axis pairs serve all 2^n directions.
 
-Under I the oracle first runs an O(n g^n) guard on that table: every
-entry is in [+0.0, 2] (its sign bit clear, and small enough that no
-quotient by a den >= eps_den overflows), and along every axis den, F_d
-where defined, never rises at a step between defined ends.  When it
-holds, the oracle compares the informative steps alone: per axis k, the
-quotients at w_k = z_k = j against those at j + 1, over every pair of
-the other axes, n g (g(g+1)/2)^(n-1) quotients in all where the walk
-takes (g(g+1)/2)^n.  This is the walk's maximum, bit for bit.  Every other
-step's slack is fl(x/a) - fl(x/b), with x = F_d(z) >= 0 and
-a = den(w) >= b = den(w + e_k) > 0, so it is at most +0.0, since
-correctly rounded division and subtraction are monotone.  The
-informative steps hold 1.0 - 1.0 = +0.0 at w = z.  So the maximum, the
-verdict and every report byte are the walk's.  Under D, whose other
-steps have positive slacks that set the maximum, and wherever the guard
-fails, the oracle walks every (w, z) pair.  The walk takes its lead axis
-one join j at a time, from the last, and the conditions of a join from
-the largest, so that a lead-axis step reads the next row of its block,
-the first row of the join's previous block, or, from the diagonal
-(j, j), the diagonal row (j+1, j+1) kept from the join before.  Both
-work in blocks of at most _BLOCK (w, z) pairs, carrying a row from one
-block to the next, so the oracle's memory is O(block + (g+1)^n), never
-g^n x g^n.  They only decide, keeping the maximum slack; when it exceeds
-tol, a locate step applies the definition to chunks of targets in
-lattice order, reading F_d at each target's join with every condition.
+The oracle scans in chains.  A chain runs along one axis k, block by
+block, over the quotients F_d(z) / den(w) of the conditions w_k = i at
+their own joins z_k = i, or all at one join z_k = h, with one pair on
+each of the first few other axes and every pair on the rest; it compares
+each row with the next, carrying a block's last row into the next, and
+its last row with one handed in.  Under I the oracle first runs an
+O(n g^n) guard: every entry of the table is in [+0.0, 2] (its sign bit
+clear, and small enough that no quotient by a den >= eps_den
+overflows), and along every axis den, F_d where defined, never rises at
+a step between defined ends.  Then a step that is not informative has
+the slack fl(x/a) - fl(x/b), x = F_d(z) >= 0 and a = den(w) >= b =
+den(w + e_k) > 0, at most +0.0 as correctly rounded division and
+subtraction are monotone, and the informative steps hold 1.0 - 1.0 =
++0.0 at w = z.  So the oracle runs only the chains at their own joins,
+n g (g(g+1)/2)^(n-1) quotients where all steps take (g(g+1)/2)^n, and
+keeps the maximum, the verdict and every report byte.  Under D, whose
+other steps have positive slacks, and where the guard fails, it runs
+one chain per join h along axis 0, from the last down, comparing each
+quotient also with its step along every other axis, and the diagonal
+(h, h) with (h+1, h+1), the last row of the chain before.  Each quotient
+is computed once, in blocks of at most _BLOCK (w, z) pairs, so the
+memory is O(block + (g+1)^n), never g^n x g^n.  The scan only decides,
+keeping the maximum slack; when it exceeds tol, a locate step applies
+the definition to chunks of targets in lattice order, reading F_d at
+each target's join with every condition.
 
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: they evaluate
@@ -107,6 +108,7 @@ import numpy as np
 
 from .core import DimensionError, Direction, Notion, iter_directions
 from .families import SURVIVAL, CopulaSpec, _cdf_axes, _signed_sum, survival_cdf, validate
+from .families import _points
 from .orthant import DEFAULT_EPS_DEN, MIN_EPS_DEN, _check_direction, _check_eps_den
 from .orthant import _orthant_array, conditional_prob
 
@@ -263,7 +265,8 @@ def check_pair(
     3 only) trades the first coordinate and reads F_d, which is C, when
     all-negative and the survival copula when all-positive.  Returns None
     on a pass, otherwise the pair with both sides.  Any ``tol`` but nan is
-    taken, so that ``-inf`` reads every slack.
+    taken, so that ``-inf`` reads every slack; a coordinate that is nan or
+    outside [0, 1] raises ValueError.
     """
     _check_tol(tol)
     validate(spec)
@@ -284,11 +287,11 @@ def check_pair(
     swapped = (0,) if d.is_pure else d.neg_idx
     lo = tuple(up[i] if i in swapped else u[i] for i in range(d.dim))
     hi = tuple(u[i] if i in swapped else up[i] for i in range(d.dim))
-    corners = [u, up, lo, hi]
+    corners = _points(spec, [u, up, lo, hi])
     if d.is_pure and d.signs[0] > 0:
         h = survival_cdf(spec, corners)
     else:
-        h = _orthant_array(spec, d, np.array(corners))
+        h = _orthant_array(spec, d, corners)
     plain, crossed = float(h[0] * h[1]), float(h[2] * h[3])
     lhs, rhs = (crossed, plain) if d.is_pure else (plain, crossed)
     if notion is Notion.DECREASING:
@@ -438,25 +441,24 @@ def check_direction_oracle(
     copula table as ``scan_direction`` reads it.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
-    w in d's order; each distinct (w, z, axis) is evaluated at most once,
-    in blocks of at most _BLOCK (w, z) pairs.  ``pairs_tested`` counts
-    every target, paired with every defined condition that steps to a
-    defined condition, along every axis; it is counted before any is
-    evaluated.
+    w in d's order; each distinct (w, z) quotient is computed once, in
+    chains along one axis, in blocks of at most _BLOCK (w, z) pairs.
+    ``pairs_tested`` counts every target, paired with every defined
+    condition that steps to a defined condition, along every axis; it is
+    counted before any is evaluated.
 
-    The scan only decides, by the maximum slack, and takes it one of two
-    ways.  Under I, when F_d is in [+0.0, 2] and no defined
-    conditioning probability rises at a step to a defined one, only the
-    informative steps, where w and z share the stepped coordinate, are
-    evaluated.  Every other step divides one F_d(z) >= 0 by a
-    conditioning probability that does not rise, so its slack is at most
-    +0.0 after rounding, and the informative steps hold +0.0 at w = z:
-    the maximum is the same, bit for bit.  Under D, and where that guard
-    fails, every (w, z) pair is walked.  On a refutation a locate step
-    applies the definition to chunks of targets in lattice order: the
-    first True of a chunk's (target, condition, axis) violations in C
-    order is the counterexample, each quotient the scan's division of its
-    operands.
+    The scan only decides, by the maximum slack.  Under I, when F_d is in
+    [+0.0, 2] and no defined conditioning probability rises at a step to
+    a defined one, it compares only the informative steps, where w and z
+    share the stepped coordinate: every other step divides one
+    F_d(z) >= 0 by a conditioning probability that does not rise, so its
+    slack is at most +0.0 after rounding, and the informative steps hold
+    +0.0 at w = z, so the maximum is the same, bit for bit.  Under D, and
+    where that guard fails, it compares every step.  On a refutation a
+    locate step applies the definition to chunks of targets in lattice
+    order: the first True of a chunk's (target, condition, axis)
+    violations in C order is the counterexample, each quotient the scan's
+    division of its operands.
     """
     _check_direction(spec, d)
     notion = _check_settings(tol, notion, eps_den)
@@ -486,90 +488,68 @@ def check_direction_oracle(
     # the condition steps, and the join with it when the two are equal; the
     # last pair, (g-1, g-1), has no step
     nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
-    # axes before lead take one pair per block, lead a run of conditions
-    # of one join and the axes after it every pair
+    # a chain's axis takes a run of rows, the first lead other axes one pair
+    # each and the tail, the axes after those, every pair
     lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= _BLOCK)
     tail = n - 1 - lead
     run = _BLOCK // pairs**tail
-    at = (slice(None),) * lead
-
-    def quotient(head: tuple, i0: int, i1: int, j: int) -> np.ndarray:
-        # conditionals of a block: the pairs ``head`` before lead, the
-        # conditions i0:i1 of join j on lead and every pair after it; the
-        # tail is taken from its last axis back
-        z = table[tuple(hi[a] for a in head) + (j,)]
-        w = den[tuple(lo[a] for a in head) + (slice(i0, i1),)]
-        for k in range(tail, 0, -1):
-            z, w = z.take(hi, axis=k - 1), w.take(lo, axis=k)
-        return (z / w).reshape((1,) * lead + (i1 - i0,) + (pairs,) * tail)
+    max_slack = -np.inf
+    # the last block of the call before, kept until the next call has one, so
+    # that the allocator does not give that memory back only to take it again
+    spent = None
 
     def oriented(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # the slack of a comparison in the notion's order
         slack = rhs - lhs if notion is Notion.DECREASING else lhs - rhs
         if some_undefined:
             # an undefined comparison is neither a maximum nor a violation
-            slack = np.where(np.isnan(slack), -np.inf, slack)
+            slack = np.fmax(slack, -np.inf)
         return slack
 
-    def compare_block(head: tuple, i0: int, i1: int, j: int, block: np.ndarray, following):
-        # the slack of each comparison of rows i0:i1 of join j, whose next row
-        # along lead is ``following``
-        for k, a in enumerate(head):
-            # a step before lead leaves the block: compute its neighbour
-            if a < len(nxt):
-                yield oriented(block, quotient(head[:k] + (nxt[a],) + head[k + 1 :], i0, i1, j))
-        rhs = block[at + (slice(1, None),)]
-        if following is not None:
-            yield oriented(block, np.concatenate([rhs, following], axis=lead))
-        elif i1 - i0 > 1:
-            yield oriented(block[at + (slice(-1),)], rhs)
-        for k in range(lead + 1, n):
-            yield oriented(block[(slice(None),) * k + (slice(pairs - 1),)], block.take(nxt, axis=k))
+    def compare(lhs: np.ndarray, rhs: np.ndarray) -> None:
+        nonlocal max_slack
+        max_slack = max(max_slack, float(oriented(lhs, rhs).max()))
 
-    def walk() -> float:
-        # the maximum slack of every comparison
-        max_slack = -np.inf
-        for head in np.ndindex((pairs,) * lead):
-            # the diagonal row of the join before; the last join's has no step
-            diagonal_row = None
-            for j in range(g - 1, -1, -1):
-                # the row after the block's last, along lead
-                following = diagonal_row
-                for i1 in range(j + 1, 0, -run):
-                    i0 = max(i1 - run, 0)
-                    block = quotient(head, i0, i1, j)
-                    for slack in compare_block(head, i0, i1, j, block, following):
-                        max_slack = max(max_slack, float(slack.max()))
-                        del slack  # freed before the next comparison is computed
-                    # copied, so that the rest of the block can be freed
-                    if i1 == j + 1:
-                        diagonal_row = block[at + (slice(-1, None),)].copy()
-                    following = block[at + (slice(1),)].copy()
-        return max_slack
+    def chain(k: int, head: tuple, join=None, after=None, across=False) -> np.ndarray:
+        # along axis k, block by block, the quotients F_d(z) / den(w) of the
+        # conditions w_k = i at their own join z_k = i (join None) or at
+        # z_k = join, the pairs head on the first lead other axes and every
+        # pair of the tail, each row compared with the next; the last row
+        # is compared with ``after`` and returned.  With ``across``, each
+        # quotient is also compared with its step along every other axis
+        nonlocal spent
+        joins, conditions = table.swapaxes(0, k), den.swapaxes(0, k)
 
-    def informative() -> float:
-        # the maximum slack of the comparisons whose condition and join share
-        # the stepped coordinate: along each axis k, the quotients at
-        # w_k = z_k = j against those at j + 1, over every pair of the other
-        # axes; blocks as the walk's, with k in lead's place: the first lead
-        # other axes take one pair, k a run of rows and the tail every pair
-        max_slack = -np.inf
-        for k in range(n):
-            joins, conditions = np.moveaxis(table, k, 0), np.moveaxis(den, k, 0)
-            for head in np.ndindex((pairs,) * lead):
-                last = None  # the last row of the block before, along k
-                for j in range(0, g, run):
-                    z = joins[(slice(j, j + run),) + tuple(hi[a] for a in head)]
-                    w = conditions[(slice(j, j + run),) + tuple(lo[a] for a in head)]
-                    for m in range(tail, 0, -1):
-                        z, w = z.take(hi, axis=m), w.take(lo, axis=m)
-                    block = z / w
-                    if last is not None:
-                        max_slack = max(max_slack, float(oriented(last, block[0]).max()))
-                    if len(block) > 1:
-                        max_slack = max(max_slack, float(oriented(block[:-1], block[1:]).max()))
-                    last = block[-1].copy()  # so that the rest of the block can be freed
-        return max_slack
+        def quotients(rows: slice, head: tuple) -> np.ndarray:
+            at = rows if join is None else slice(join, join + 1)
+            z = joins[(at,) + tuple(hi[a] for a in head)]
+            w = conditions[(rows,) + tuple(lo[a] for a in head)]
+            for m in range(tail, 0, -1):
+                z, w = z.take(hi, axis=m), w.take(lo, axis=m)
+            return z / w
+
+        last = None  # the last row of the block before
+        end = g if join is None else join + 1
+        for i0 in range(0, end, run):
+            rows = slice(i0, min(i0 + run, end))
+            block = quotients(rows, head)
+            spent = None  # this call has a block now
+            if last is not None:
+                compare(last, block[0])
+            last = block[-1]  # a view: the block before is freed here
+            if len(block) > 1:
+                compare(block[:-1], block[1:])
+            if across:
+                for a, p in enumerate(head):
+                    # a step along a head axis leaves the block: compute it
+                    if p < len(nxt):
+                        compare(block, quotients(rows, head[:a] + (nxt[p],) + head[a + 1 :]))
+                for m in range(1, tail + 1):
+                    compare(block[(slice(None),) * m + (slice(-1),)], block.take(nxt, axis=m))
+        if after is not None:
+            compare(last, after)
+        spent = block
+        return last
 
     # the guard of the module docstring: then every other comparison is
     # fl(x/a) - fl(x/b) with 0 <= x <= 2 and a >= b >= eps_den, at most +0.0
@@ -580,7 +560,18 @@ def check_direction_oracle(
         and table.max() <= 2.0
         and not any((np.diff(den, axis=k) > 0).any() for k in range(n))
     )
-    max_slack = informative() if informative_only else walk()
+    if informative_only:
+        for k in range(n):
+            for head in np.ndindex((pairs,) * lead):
+                chain(k, head)
+    else:
+        for head in np.ndindex((pairs,) * lead):
+            # joins from the last down: the diagonal (h, h) steps to (h+1, h+1),
+            # a copy of the last row of the call before, not held in its block
+            row = None
+            for h in range(g - 1, -1, -1):
+                row = chain(0, head, h, row, across=True).copy()
+    row = spent = None  # the locate step reads neither
     if not max_slack > tol:
         return DirectionVerdict(d, METHOD_ORACLE, PASS_AT_RESOLUTION, comparisons, max_slack, None)
 
@@ -611,7 +602,7 @@ def check_direction_oracle(
     p0, size = 0, 1
     while not (violating := violations(p0, min(p0 + size, total))).any():
         p0, size = p0 + size, min(2 * size, max(1, _BLOCK // total))
-        assert p0 < total, "the locate step found no violation that the walk found"
+        assert p0 < total, "the locate step found no violation that the scan found"
     t, *earlier, k = map(int, np.unravel_index(violating.argmax(), violating.shape))
     later = [e + d.signs[k] * (m == k) for m, e in enumerate(earlier)]
     conditional = conditionals(p0 + t, p0 + t + 1)[0]

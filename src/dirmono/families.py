@@ -134,14 +134,14 @@ def validate(spec: CopulaSpec) -> None:
 def cdf(spec: CopulaSpec, u) -> float | np.ndarray:
     """Copula value at ``u`` (scalar point or array of points).
 
-    The spec is validated and the dimension of ``u`` checked; callers are
-    expected to supply coordinates in [0, 1].
+    The spec is validated and the dimension of ``u`` checked; a coordinate
+    that is nan or outside [0, 1] raises ValueError.
     """
     return _value(_cdf_array(spec, _points(spec, u)))
 
 
 def _points(spec: CopulaSpec, u) -> np.ndarray:
-    """``u`` as a float array whose last axis holds ``spec.dim`` coordinates."""
+    """``u`` as a float array whose last axis holds ``spec.dim`` coordinates in [0, 1]."""
     validate(spec)
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != spec.dim:
@@ -149,6 +149,9 @@ def _points(spec: CopulaSpec, u) -> np.ndarray:
             f"point with {arr.shape[-1] if arr.ndim else 0} coordinates "
             f"does not match copula of dim {spec.dim}"
         )
+    inside = (arr >= 0) & (arr <= 1)  # False for nan
+    if not inside.all():
+        raise ValueError(f"coordinate {float(arr[~inside][0])!r} is not in [0, 1]")
     return arr
 
 

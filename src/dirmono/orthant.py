@@ -71,10 +71,13 @@ def conditional_prob(
 
     None signals an undefined conditional: the conditioning event has
     probability below ``eps_den``.  An ``eps_den`` that is not finite or
-    is below MIN_EPS_DEN raises ValueError, as in the scans.
+    is below MIN_EPS_DEN raises ValueError, as in the scans, and so does a
+    coordinate of v or vp that is nan or outside [0, 1].
     """
     _check_eps_den(eps_den)
-    num = orthant_prob(spec, d, join_direction(d, tuple(v), tuple(vp)))
+    # both are checked first, since their join may drop a bad coordinate
+    v, vp = (tuple(_points(spec, p)) for p in (v, vp))
+    num = orthant_prob(spec, d, join_direction(d, v, vp))
     den = orthant_prob(spec, d, vp)
     if den < eps_den:
         return None

@@ -1040,13 +1040,15 @@ class TestOracleMatchesScalar:
     )
     def test_block_size_does_not_change_verdicts(self, monkeypatch, block):
         # there are 15 (condition, join) pairs per axis at g = 5 and 6 at
-        # g = 3, and join j has j + 1 conditions.  1 makes every block a
-        # single pair; 2 splits the joins of the last axis into uneven
-        # chunks of 2 and 1 at n = 2 and n = 3; 7 takes a whole join of the
-        # last axis at n = 2, and one condition on axis 1 with every pair of
-        # axis 2 at n = 3; 25 takes one condition on axis 0 at n = 2, and
-        # being below 6^2, one pair on axis 0 and a whole join on axis 1 at
-        # n = 3; 150 takes a whole join on axis 0 at n = 2 and n = 3
+        # g = 3, and a chain at join j has j + 1 conditions.  1 makes every
+        # block a single pair; 2 splits a chain into uneven chunks of 2 and
+        # 1, with one pair on each other axis, at n = 2 and n = 3; 7 takes
+        # a whole chain with one pair on the other axis at n = 2, and one
+        # condition with one pair on the next axis and every pair of the
+        # last at n = 3; 25 takes one condition with every pair of the
+        # other axis at n = 2, and being below 6^2, up to 4 conditions with
+        # one pair on the next axis at n = 3; 150 takes a whole chain with
+        # every pair of the other axes at n = 2 and n = 3
         cases = [
             (CopulaSpec("fgm", 2, {"lambda": 0.5}), GridSpec(5)),
             (CopulaSpec("w", 2), GridSpec(5)),
@@ -1087,8 +1089,9 @@ class TestOracleMatchesScalar:
         ids=["m3-block7", "w2-block1"],
     )
     def test_partly_defined_blocks_with_head_axes(self, monkeypatch, spec, g, block, eps_den):
-        # both blocks leave axis 0 before the lead axis (6 pairs per axis at
-        # g = 3, 15 at g = 5), and m's mixed and w's pure directions leave
+        # both blocks take one pair at a time of the axis after the chain's
+        # (6 pairs per axis at g = 3, 15 at g = 5), a head axis, whose steps
+        # leave the block, and m's mixed and w's pure directions leave
         # some conditions undefined, so the count, the masked maximum and
         # the first violation all meet undefined steps on a head axis
         monkeypatch.setattr(checker, "_BLOCK", block)
@@ -1113,8 +1116,8 @@ class TestOracleMatchesScalar:
     def test_locates_a_deep_first_violation(self, monkeypatch, spec, signs, target, block):
         # the first violating target is the 6th of 9 and the 40th of 81 in
         # lattice order, behind targets whose violations come later in
-        # the walk; blocks of 25 and the default hold several rows of a
-        # join on lead.  The locate step takes one target at a time below
+        # the scan; blocks of 25 and the default hold several rows of a
+        # chain.  The locate step takes one target at a time below
         # 81 pairs; blocks of 16 * 81 give it chunks of 1, 2, 4, 8 and 16
         # targets, the last of which, targets 31 to 46, holds target 39
         d, g = make_direction(signs), 3
@@ -1159,7 +1162,7 @@ class TestOracleMatchesScalar:
     )
     def test_locates_past_the_run_of_least_bound(self, monkeypatch, spec, signs, block):
         # these blocks split the lattice so that a locate step that
-        # followed the walk's blocks, not the targets in lattice order,
+        # followed the scan's blocks, not the targets in lattice order,
         # could report a later violation (convexpim under both notions,
         # product under the decreasing one)
         d, g = make_direction(signs), 3
@@ -1233,11 +1236,11 @@ class TestOracleMatchesScalar:
         assert peak < 96 * 2**10
 
     def test_memory_stays_flat_when_most_rows_violate(self, monkeypatch):
-        # fgm (2,12) in blocks of 25 pairs walks 78 x 78 rows (a lead pair
-        # for each pair before it), most of which violate the decreasing
-        # notion; the walk keeps no entry per violating row, and the locate
-        # step takes one target of 144 conditions at a time, about 15 KiB
-        # at peak
+        # fgm (2,12) in blocks of 25 pairs runs 78 x 12 chains (a pair of
+        # axis 1 and a join of axis 0), most of whose rows violate the
+        # decreasing notion; the scan keeps no entry per violating row, and
+        # the locate step takes one target of 144 conditions at a time,
+        # about 15 KiB at peak
         spec, d, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, 1]), GridSpec(12)
         table = checker._orthant_table(checker._copula_table(spec, grid), d)
         default = check_direction_oracle(spec, d, grid, notion=Notion.DECREASING, table=table)
@@ -1270,26 +1273,30 @@ class TestOracleMatchesScalar:
 
 
 def _maximum_cases():
-    # every spec at the lattice of the verdict digest's zoo grid, and the
-    # dim-2 ones at g = 9 as well
+    # at the default block, every spec at the lattice of the verdict
+    # digest's zoo grid, and the dim-2 ones at g = 9 as well, at eps_den
+    # 1e-12, 0.05 and 0.3; in blocks of 1 and 7 pairs, to keep the time
+    # down, the zoo grid without n = 5, as in the digest, at the two ends
     grids = {2: 6, 3: 4, 4: 3, 5: 3}
-    cases = [(s, grids[s.dim]) for s in family_zoo()]
-    return cases + [(s, 9) for s in family_zoo() if s.dim == 2]
+    cases = [(s, grids[s.dim], checker._BLOCK, (1e-12, 0.05, 0.3)) for s in family_zoo()]
+    cases += [(s, 9, checker._BLOCK, (1e-12, 0.05, 0.3)) for s in family_zoo() if s.dim == 2]
+    for block in (1, 7):
+        cases += [(s, grids[s.dim], block, (1e-12, 0.3)) for s in family_zoo() if s.dim < 5]
+    return [pytest.param(*c, id=f"{c[0].describe()}-g{c[1]}-block{c[2]}") for c in cases]
 
 
 class TestOracleMaximum:
-    @pytest.mark.parametrize(
-        "spec, g",
-        _maximum_cases(),
-        ids=lambda c: c.describe() if isinstance(c, CopulaSpec) else f"g{c}",
-    )
-    def test_max_slack_is_the_dense_maximum(self, spec, g):
-        # bit for bit, by repr, so that a changed last bit or sign of zero shows
+    @pytest.mark.parametrize("spec, g, block, eps_dens", _maximum_cases())
+    def test_max_slack_is_the_dense_maximum(self, monkeypatch, spec, g, block, eps_dens):
+        # bit for bit, by repr, so that a changed last bit or sign of zero
+        # shows; small blocks step along head axes, and carry rows from one
+        # block to the next
+        monkeypatch.setattr(checker, "_BLOCK", block)
         grid = GridSpec(g)
         ctable = checker._copula_table(spec, grid)
         for d in all_directions(spec.dim):
             table = checker._orthant_table(ctable, d)
-            for notion, eps_den in product(Notion, (1e-12, 0.05, 0.3)):
+            for notion, eps_den in product(Notion, eps_dens):
                 v = check_direction_oracle(
                     spec, d, grid, eps_den=eps_den, notion=notion, table=table
                 )

@@ -10,11 +10,13 @@ from dirmono import (
     ParameterError,
     cdf,
     check_pair,
+    conditional_prob,
     make_direction,
     orthant_prob,
     survival_cdf,
     validate,
 )
+from dirmono import families
 from dirmono.families import _cdf_axes
 from helpers import (
     Box,
@@ -105,6 +107,40 @@ class TestValidate:
     def test_zoo_is_valid(self):
         for spec in family_zoo():
             validate(spec)
+
+
+_MIXED = make_direction([1, -1])
+_SCALAR_EVALUATORS = pytest.mark.parametrize(
+    "evaluate",
+    [
+        cdf,
+        survival_cdf,
+        lambda spec, u: orthant_prob(spec, _MIXED, u),
+        # the join with (0.5, 0.5) drops each bad coordinate but nan
+        lambda spec, u: conditional_prob(spec, _MIXED, u, (0.5, 0.5)),
+        lambda spec, u: conditional_prob(spec, _MIXED, (0.5, 0.5), u),
+        lambda spec, u: check_pair(spec, _MIXED, u, u),
+    ],
+    ids=["cdf", "survival_cdf", "orthant_prob", "conditional_prob-v", "conditional_prob-vp",
+         "check_pair"],
+)
+
+
+class TestPoints:
+    @_SCALAR_EVALUATORS
+    @pytest.mark.parametrize(
+        "point", [(float("nan"), 0.2), (-0.1, 0.5), (0.5, 2.0)], ids=["nan", "below", "above"]
+    )
+    def test_a_coordinate_outside_the_unit_interval_is_refused(self, monkeypatch, evaluate, point):
+        # each would otherwise give a number, nan or a pass; with the
+        # evaluator gone, any evaluation would raise TypeError instead
+        monkeypatch.setattr(families, "_cdf_axes", None)
+        with pytest.raises(ValueError, match=r"coordinate .* is not in \[0, 1\]"):
+            evaluate(CopulaSpec("fgm", 2, {"lambda": 0.5}), point)
+
+    @_SCALAR_EVALUATORS
+    def test_the_ends_of_the_unit_interval_are_taken(self, evaluate):
+        evaluate(CopulaSpec("fgm", 2, {"lambda": 0.5}), (0.0, 1.0))
 
 
 class TestCdf:
