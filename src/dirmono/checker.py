@@ -33,29 +33,29 @@ every index, so the same per-axis pairs serve all 2^n directions.
 
 The oracle scans in chains.  A chain runs along one axis k, block by
 block, over the quotients F_d(z) / den(w) of the conditions w_k = i at
-their own joins z_k = i, or all at one join z_k = h, with one pair on
+their own joins z_k = i (the informative steps), or all at one join
+z_k = h (the steps that leave the join where it is), with one pair on
 each of the first few other axes and every pair on the rest; it compares
-each row with the next, carrying a block's last row into the next, and
-its last row with one handed in.  Under I the oracle first runs an
-O(n g^n) guard: every entry of the table is in [+0.0, 2] (its sign bit
-clear, and small enough that no quotient by a den >= eps_den
-overflows), and along every axis den, F_d where defined, never rises at
-a step between defined ends.  Then a step that is not informative has
-the slack fl(x/a) - fl(x/b), x = F_d(z) >= 0 and a = den(w) >= b =
-den(w + e_k) > 0, at most +0.0 as correctly rounded division and
-subtraction are monotone, and the informative steps hold 1.0 - 1.0 =
-+0.0 at w = z.  So the oracle runs only the chains at their own joins,
-n g (g(g+1)/2)^(n-1) quotients where all steps take (g(g+1)/2)^n, and
-keeps the maximum, the verdict and every report byte.  Under D, whose
-other steps have positive slacks, and where the guard fails, it runs
-one chain per join h along axis 0, from the last down, comparing each
-quotient also with its step along every other axis, and the diagonal
-(h, h) with (h+1, h+1), the last row of the chain before.  Each quotient
-is computed once, in blocks of at most _BLOCK (w, z) pairs, so the
-memory is O(block + (g+1)^n), never g^n x g^n.  The scan only decides,
-keeping the maximum slack; when it exceeds tol, a locate step applies
-the definition to chunks of targets in lattice order, reading F_d at
-each target's join with every condition.
+each row with the next, carrying a block's last row into the next.  Under
+I the oracle first runs an O(n g^n) guard: every entry of the table is in
+[+0.0, 2] (its sign bit clear, and small enough that no quotient by a
+den >= eps_den overflows), and along every axis den, F_d where defined,
+never rises at a step between defined ends.  Then a step that is not
+informative has the slack fl(x/a) - fl(x/b), x = F_d(z) >= 0 and
+a = den(w) >= b = den(w + e_k) > 0, at most +0.0 as correctly rounded
+division and subtraction are monotone, and the informative steps hold
+1.0 - 1.0 = +0.0 at w = z.  So the oracle runs only the chains of
+conditions at their own joins, one per axis and head, n g (g(g+1)/2)^(n-1)
+quotients, and keeps the maximum, the verdict and every report byte.
+Under D, whose other steps have positive slacks, and where the guard
+fails, it also runs one chain per axis, head and join h = 1 .. g-1: this
+full scan computes each of the (g(g+1)/2)^n quotients once per axis
+(those at w_k = z_k > 0 twice).  The quotients are computed in blocks of
+at most _BLOCK (w, z) pairs, so the memory is O(block + (g+1)^n), never
+g^n x g^n.  The scan only decides, keeping the maximum slack; when it
+exceeds tol, a locate step applies the definition to chunks of targets
+in lattice order, reading F_d at each target's join with every
+condition.
 
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: they evaluate
@@ -106,7 +106,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DimensionError, Direction, Notion, iter_directions
+from .core import DimensionError, Direction, Notion, all_directions
 from .families import SURVIVAL, CopulaSpec, _cdf_axes, _signed_sum, survival_cdf, validate
 from .families import _points
 from .orthant import DEFAULT_EPS_DEN, MIN_EPS_DEN, _check_direction, _check_eps_den
@@ -441,8 +441,9 @@ def check_direction_oracle(
     copula table as ``scan_direction`` reads it.
 
     The conditional at w is F_d(z) / F_d(w), where z is the join of v and
-    w in d's order; each distinct (w, z) quotient is computed once, in
-    chains along one axis, in blocks of at most _BLOCK (w, z) pairs.
+    w in d's order; the (w, z) quotients are computed in chains along one
+    axis k, in blocks of at most _BLOCK (w, z) pairs, each compared with
+    the next along k.
     ``pairs_tested`` counts every target, paired with every defined
     condition that steps to a defined condition, along every axis; it is
     counted before any is evaluated.
@@ -454,7 +455,8 @@ def check_direction_oracle(
     F_d(z) >= 0 by a conditioning probability that does not rise, so its
     slack is at most +0.0 after rounding, and the informative steps hold
     +0.0 at w = z, so the maximum is the same, bit for bit.  Under D, and
-    where that guard fails, it compares every step.  On a refutation a
+    where that guard fails, it compares every step, one chain per axis and
+    join, and so computes each quotient once per axis.  On a refutation a
     locate step applies the definition to chunks of targets in lattice
     order: the first True of a chunk's (target, condition, axis)
     violations in C order is the counterexample, each quotient the scan's
@@ -483,11 +485,6 @@ def check_direction_oracle(
     # per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a]
     lo, hi = np.triu_indices(g)
     pairs = lo.size
-    pair = np.zeros((g, g), dtype=lo.dtype)
-    pair[lo, hi] = np.arange(pairs)
-    # the condition steps, and the join with it when the two are equal; the
-    # last pair, (g-1, g-1), has no step
-    nxt = pair[lo[:-1] + 1, np.maximum(hi[:-1], lo[:-1] + 1)]
     # a chain's axis takes a run of rows, the first lead other axes one pair
     # each and the tail, the axes after those, every pair
     lead = next(j for j in range(n) if pairs ** (n - 1 - j) <= _BLOCK)
@@ -510,46 +507,30 @@ def check_direction_oracle(
         nonlocal max_slack
         max_slack = max(max_slack, float(oriented(lhs, rhs).max()))
 
-    def chain(k: int, head: tuple, join=None, after=None, across=False) -> np.ndarray:
+    def chain(k: int, head: tuple, join=None) -> None:
         # along axis k, block by block, the quotients F_d(z) / den(w) of the
         # conditions w_k = i at their own join z_k = i (join None) or at
         # z_k = join, the pairs head on the first lead other axes and every
-        # pair of the tail, each row compared with the next; the last row
-        # is compared with ``after`` and returned.  With ``across``, each
-        # quotient is also compared with its step along every other axis
+        # pair of the tail, each row compared with the next
         nonlocal spent
         joins, conditions = table.swapaxes(0, k), den.swapaxes(0, k)
-
-        def quotients(rows: slice, head: tuple) -> np.ndarray:
+        last = None  # the last row of the block before
+        end = g if join is None else join + 1
+        for i0 in range(0, end, run):
+            rows = slice(i0, min(i0 + run, end))
             at = rows if join is None else slice(join, join + 1)
             z = joins[(at,) + tuple(hi[a] for a in head)]
             w = conditions[(rows,) + tuple(lo[a] for a in head)]
             for m in range(tail, 0, -1):
                 z, w = z.take(hi, axis=m), w.take(lo, axis=m)
-            return z / w
-
-        last = None  # the last row of the block before
-        end = g if join is None else join + 1
-        for i0 in range(0, end, run):
-            rows = slice(i0, min(i0 + run, end))
-            block = quotients(rows, head)
+            block = z / w
             spent = None  # this call has a block now
             if last is not None:
                 compare(last, block[0])
             last = block[-1]  # a view: the block before is freed here
             if len(block) > 1:
                 compare(block[:-1], block[1:])
-            if across:
-                for a, p in enumerate(head):
-                    # a step along a head axis leaves the block: compute it
-                    if p < len(nxt):
-                        compare(block, quotients(rows, head[:a] + (nxt[p],) + head[a + 1 :]))
-                for m in range(1, tail + 1):
-                    compare(block[(slice(None),) * m + (slice(-1),)], block.take(nxt, axis=m))
-        if after is not None:
-            compare(last, after)
         spent = block
-        return last
 
     # the guard of the module docstring: then every other comparison is
     # fl(x/a) - fl(x/b) with 0 <= x <= 2 and a >= b >= eps_den, at most +0.0
@@ -560,18 +541,15 @@ def check_direction_oracle(
         and table.max() <= 2.0
         and not any((np.diff(den, axis=k) > 0).any() for k in range(n))
     )
-    if informative_only:
-        for k in range(n):
-            for head in np.ndindex((pairs,) * lead):
-                chain(k, head)
-    else:
+    for k in range(n):
         for head in np.ndindex((pairs,) * lead):
-            # joins from the last down: the diagonal (h, h) steps to (h+1, h+1),
-            # a copy of the last row of the call before, not held in its block
-            row = None
-            for h in range(g - 1, -1, -1):
-                row = chain(0, head, h, row, across=True).copy()
-    row = spent = None  # the locate step reads neither
+            chain(k, head)  # the informative steps
+            if not informative_only:
+                # the steps that leave the join z_k = h where it is, from the
+                # last join down, so that no block outgrows the one before
+                for h in range(g - 1, 0, -1):
+                    chain(k, head, h)
+    spent = None  # the locate step does not read it
     if not max_slack > tol:
         return DirectionVerdict(d, METHOD_ORACLE, PASS_AT_RESOLUTION, comparisons, max_slack, None)
 
@@ -731,7 +709,7 @@ def scan_all_directions(
         if not directions:
             return []
     charge = _check_lattice(spec.dim, grid.resolution, method)
-    chosen = list(iter_directions(spec.dim) if directions is None else directions)
+    chosen = all_directions(spec.dim) if directions is None else list(directions)
     ctable = _copula_table(spec, grid)
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     cpus = len(os.sched_getaffinity(0)) if can_fork else 1

@@ -55,13 +55,8 @@ def exit_code(report: ScanReport) -> int:
     """0 all passed, 1 any refuted or not fully supported, 3 disagreement."""
     if report.disagreements:
         return 3
-    outcomes = [v.outcome for v in report.verdicts]
-    if any(o == REFUTED for o in outcomes):
-        return 1
-    if all(o == PASS_AT_RESOLUTION for o in outcomes):
-        return 0
-    # unsupported verdicts: a pass cannot be claimed
-    return 1
+    # a refuted or unsupported verdict: a pass cannot be claimed
+    return 0 if all(v.outcome == PASS_AT_RESOLUTION for v in report.verdicts) else 1
 
 
 # ---------------------------------------------------------------- dict forms

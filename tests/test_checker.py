@@ -1091,9 +1091,9 @@ class TestOracleMatchesScalar:
     def test_partly_defined_blocks_with_head_axes(self, monkeypatch, spec, g, block, eps_den):
         # both blocks take one pair at a time of the axis after the chain's
         # (6 pairs per axis at g = 3, 15 at g = 5), a head axis, whose steps
-        # leave the block, and m's mixed and w's pure directions leave
-        # some conditions undefined, so the count, the masked maximum and
-        # the first violation all meet undefined steps on a head axis
+        # only its own chains take, and m's mixed and w's pure directions
+        # leave some conditions undefined, so the count, the masked maximum
+        # and the first violation all meet undefined steps on a head axis
         monkeypatch.setattr(checker, "_BLOCK", block)
         every = spec.dim * (g - 1) * g ** (2 * spec.dim - 1)
         partial = []
@@ -1236,9 +1236,10 @@ class TestOracleMatchesScalar:
         assert peak < 96 * 2**10
 
     def test_memory_stays_flat_when_most_rows_violate(self, monkeypatch):
-        # fgm (2,12) in blocks of 25 pairs runs 78 x 12 chains (a pair of
-        # axis 1 and a join of axis 0), most of whose rows violate the
-        # decreasing notion; the scan keeps no entry per violating row, and
+        # fgm (2,12) in blocks of 25 pairs runs 2 x 78 x 12 chains (per
+        # axis, a pair of the other axis and the conditions' own joins or
+        # one join), most of whose rows violate the decreasing notion;
+        # the scan keeps no entry per violating row, and
         # the locate step takes one target of 144 conditions at a time,
         # about 15 KiB at peak
         spec, d, grid = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, 1]), GridSpec(12)

@@ -396,7 +396,7 @@ class TestExitCodes:
             raise AssertionError("built before the lattice was checked")
 
         monkeypatch.setattr(checker, "_MEMORY", 768 << 20)
-        monkeypatch.setattr(checker, "iter_directions", built)
+        monkeypatch.setattr(checker, "all_directions", built)
         monkeypatch.setattr(checker, "_cdf_axes", built)
         assert main(["check", "--family", "product", "--dim", dim, "--grid", grid]) == 2
         err = capsys.readouterr().err
