@@ -102,7 +102,7 @@ import pickle
 import signal
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -228,19 +228,20 @@ def _check_settings(
 
 def _check_lattice(n: int, g: int, method: str) -> int:
     """Refuse, before anything is allocated, a lattice that no table can
-    hold: more axes than an array has, more bytes at the peak of the tables
-    than the machine has memory, or, when the inequality route runs, more
-    at the peak of its pair arrays.  Returns the bytes charged for both."""
+    hold: more axes than an array has, or more bytes at the peak of the
+    tables, with the inequality route's pair arrays when it runs, than the
+    machine has memory.  Returns the bytes charged, at most the memory."""
     if n > _MAX_DIM:
         raise DimensionError(f"dim {n} exceeds the {_MAX_DIM} axes a lattice table can have")
     charge = (g + 1) ** n * _TABLE_PEAK_BYTES
     if charge > _MEMORY:
         raise MemoryError(f"the {g + 1}^{n} points of the copula table do not fit in memory")
     pairs = g * (g + 1) // 2
-    pair_charge = 0 if method == METHOD_ORACLE else pairs**n * _PAIR_PEAK_BYTES
-    if pair_charge > _MEMORY:
-        raise MemoryError(f"the {pairs}^{n} pairs of the inequality route do not fit in memory")
-    return charge + pair_charge
+    charge += 0 if method == METHOD_ORACLE else pairs**n * _PAIR_PEAK_BYTES
+    if charge > _MEMORY:
+        raise MemoryError(f"the {pairs}^{n} pairs of the inequality route and the tables "
+                          "do not fit in memory")
+    return charge
 
 
 def _check_tol(tol: float) -> None:
@@ -436,7 +437,8 @@ def check_direction_oracle(
     step further along each axis (a step toward larger coordinates on
     positive axes, smaller on negative axes).  Comparisons touching an
     undefined conditional (conditioning probability below eps_den) are
-    skipped; a direction left with no comparison is unsupported.
+    nan, and both the maximum (``np.fmax``) and the locate step (``> tol``)
+    skip them; a direction left with no defined comparison is unsupported.
     ``table`` is F_d on the lattice; when not given, it is read off the
     copula table as ``scan_direction`` reads it.
 
@@ -480,7 +482,6 @@ def check_direction_oracle(
         # no defined comparison at all would make a pass vacuous
         return DirectionVerdict(d, METHOD_ORACLE, UNSUPPORTED, 0, None, None)
     # an undefined conditional is nan, and so is every slack it touches
-    some_undefined = not defined.all()
     den = np.where(defined, table, np.nan)
     # per axis, pair a is a condition lo[a] and a join hi[a] >= lo[a]
     lo, hi = np.triu_indices(g)
@@ -496,16 +497,14 @@ def check_direction_oracle(
     spent = None
 
     def oriented(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # the slack of a comparison in the notion's order
-        slack = rhs - lhs if notion is Notion.DECREASING else lhs - rhs
-        if some_undefined:
-            # an undefined comparison is neither a maximum nor a violation
-            slack = np.fmax(slack, -np.inf)
-        return slack
+        # the slack of a comparison in the notion's order, nan where undefined
+        return rhs - lhs if notion is Notion.DECREASING else lhs - rhs
 
     def compare(lhs: np.ndarray, rhs: np.ndarray) -> None:
+        # fmax skips an undefined slack; a block of them reduces to nan, which
+        # max against the running value skips too
         nonlocal max_slack
-        max_slack = max(max_slack, float(oriented(lhs, rhs).max()))
+        max_slack = max(max_slack, float(np.fmax.reduce(oriented(lhs, rhs), axis=None)))
 
     def chain(k: int, head: tuple, join=None) -> None:
         # along axis k, block by block, the quotients F_d(z) / den(w) of the
@@ -683,23 +682,23 @@ def scan_all_directions(
     tol: float = DEFAULT_TOL,
     eps_den: float = DEFAULT_EPS_DEN,
     notion: Notion | str = Notion.INCREASING,
-    directions: Sequence[Direction] | None = None,
+    directions: Iterable[Direction] | None = None,
 ) -> list[DirectionVerdict]:
     """Verdicts for every requested direction (default: all 2^n of them).
 
     The spec, the settings (as ``scan_direction`` checks them) and the
     dim of every requested direction are checked first, and a direction
-    requested twice is refused.  A lattice that no table can hold is
-    refused before anything is allocated: more axes than an array has,
-    more bytes at the peak of the tables than the machine has memory, or,
-    when the inequality route runs, more at the peak of its pair arrays.
-    The copula table is built once and handed to every direction.  The
-    directions are scanned in interleaved shares, one per usable CPU as far
-    as memory allows, each but the first in a forked worker (``_in_workers``).
+    requested twice is refused; ``directions`` may be any iterable, read
+    once.  A lattice that no table can hold is refused before anything is
+    allocated, as ``_check_lattice`` refuses it.  The copula table is built
+    once and handed to every direction.  The directions are scanned in
+    interleaved shares, one per usable CPU as far as memory allows, each
+    but the first in a forked worker (``_in_workers``).
     """
     validate(spec)
     notion = _check_settings(tol, notion, eps_den, method)
     if directions is not None:
+        directions = list(directions)
         seen = set()
         for d in directions:
             _check_direction(spec, d)
@@ -709,11 +708,11 @@ def scan_all_directions(
         if not directions:
             return []
     charge = _check_lattice(spec.dim, grid.resolution, method)
-    chosen = all_directions(spec.dim) if directions is None else list(directions)
+    chosen = all_directions(spec.dim) if directions is None else directions
     ctable = _copula_table(spec, grid)
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     cpus = len(os.sched_getaffinity(0)) if can_fork else 1
-    w = max(1, min(cpus, len(chosen), _MEMORY // charge))
+    w = min(cpus, len(chosen), _MEMORY // charge)
 
     def scan(share: list[Direction]) -> list[DirectionVerdict]:
         return [scan_direction(spec, d, grid, method, tol, eps_den, notion, ctable=ctable)
@@ -793,9 +792,6 @@ def recheck_counterexample(
         c_later = conditional_prob(spec, d, cex.target, later, eps_den)
         if c_earlier is None or c_later is None:
             return False
-        if notion is Notion.INCREASING:
-            violation = c_earlier - c_later
-        else:
-            violation = c_later - c_earlier
+        violation = c_earlier - c_later if notion is Notion.INCREASING else c_later - c_earlier
         return violation > tol
     raise ValueError(f"unknown counterexample kind {cex.kind!r}")

@@ -12,10 +12,11 @@ usage-error line.
 
 Exit codes: 0 every requested direction passed at the grid resolution,
 1 some direction was refuted (or could not be fully checked), 2 usage or
-configuration error, a scan that ran out of memory, or a scan worker
-that ended without a result, 3 the two check methods disagreed somewhere
-or a reported counterexample did not re-verify (an internal defect worth
-reporting, not a property of the copula).
+configuration error, a scan that ran out of memory, a scan worker that
+ended without a result, or an output file that cannot be written, 3 the
+two check methods disagreed somewhere or a reported counterexample did
+not re-verify (an internal defect worth reporting, not a property of the
+copula).
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def run(config: RunConfig) -> int:
             with open(config.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as exc:
-            print(f"dirmono: cannot write {config.out}: {exc}", file=sys.stderr)
+            print(f"dirmono: error: cannot write {config.out}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(payload)

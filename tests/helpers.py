@@ -122,6 +122,35 @@ def bivariate_zoo():
     return [s for s in family_zoo() if s.dim == 2]
 
 
+# bad inputs of the command line, each of which exits 2 with one error line:
+# argvs, and values that a config file of fgm n=2 lambda 0.5 sets; both
+# tests/test_cli.py and tools/verdict_digest.py run them
+_PRODUCT = ["check", "--family", "product", "--dim", "2"]
+BAD_ARGVS = [
+    ["check", "--family", "amh", "--dim", "3", "--delta", "0.5"],
+    ["check", "--family", "w", "--dim", "3"],
+    ["check", "--family", "squircle", "--dim", "2"],
+    ["check", "--family", "fgm", "--dim", "2", "--lambda", "1.5"],
+    ["check", "--family", "fgm", "--dim", "2"],
+    _PRODUCT + ["--direction", "+,?"],
+    _PRODUCT + ["--direction", "+"],
+    _PRODUCT + ["--grid", "1"],
+    _PRODUCT + ["--tol", "0"],
+    _PRODUCT + ["--tol", "inf"],
+    _PRODUCT + ["--tol", "nan"],
+    _PRODUCT + ["--eps-den", "inf"],
+    ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "5",
+     "--direction", "+,-", "--direction", "+,-"],
+    ["check", "--dim", "2"],
+]
+BAD_CONFIGS = [
+    {"grid": "abc"}, {"grid": 4.5}, {"lambda": "x"}, {"direction": 5}, {"direction": [5]},
+    {"direction": []}, {"dim": 2.7}, {"dim": True}, {"tol": "inf"}, {"eps_den": 1e999},
+    {"all_directions": "no"}, {"out": 5}, {"out": None}, {"direction": None},
+    {"notion": None}, {"method": "fast"}, {"format": 1}, {"family": 5}, {"grid": 1},
+    {"tol": 10**400},
+]
+
 
 def oracle_max_slack(table, signs, eps_den, decreasing, informative_only=False):
     """The oracle's maximum slack, dense, off its definition: over every

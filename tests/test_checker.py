@@ -313,12 +313,14 @@ class TestScans:
         assert (1, 1, 1) in passed
         assert (-1, -1, -1) in passed
 
-    def test_scan_respects_requested_subset(self):
+    # an iterator or a generator is read once, by the checks and the scan
+    @pytest.mark.parametrize("kind", [list, tuple, iter, lambda ds: (d for d in ds)],
+                             ids=["list", "tuple", "iterator", "generator"])
+    def test_scan_respects_requested_subset(self, kind):
         spec = CopulaSpec("product", 3)
-        dirs = [make_direction([1, -1, 1])]
-        verdicts = scan_all_directions(spec, GridSpec(5), directions=dirs)
-        assert len(verdicts) == 1
-        assert verdicts[0].direction.signs == (1, -1, 1)
+        dirs = [make_direction([1, -1, 1]), make_direction([-1, -1, 1])]
+        verdicts = scan_all_directions(spec, GridSpec(5), directions=kind(dirs))
+        assert [v.direction for v in verdicts] == dirs
 
     def test_empty_direction_list(self, monkeypatch):
         monkeypatch.setattr(checker, "_copula_table", None)
@@ -509,7 +511,7 @@ class TestScans:
 class TestLatticeCost:
     """Every scan entry charges the lattice before it builds a table.  For
     fgm (3,15) the 16^3 points of the copula table are charged 294,912
-    bytes, and the 120^3 pairs of the inequality route 50.1 MB."""
+    bytes, and the 120^3 pairs of the inequality route 50,112,000 more."""
 
     SPEC, GRID, D = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(15), make_direction([1, -1, 1])
 
@@ -523,12 +525,16 @@ class TestLatticeCost:
             check(self.SPEC, self.D, self.GRID)
 
     def test_only_the_inequality_route_is_charged_its_pairs(self, monkeypatch):
-        monkeypatch.setattr(checker, "_MEMORY", 1_000_000)
         with monkeypatch.context() as nothing_built:
             nothing_built.setattr(checker, "_cdf_axes", None)
-            for check in (scan_direction, check_direction_inequality):
+            # at 50.2 MB the pairs fit alone, but not beside the tables
+            for memory in (50_200_000, 1_000_000):
+                monkeypatch.setattr(checker, "_MEMORY", memory)
+                for check in (scan_direction, check_direction_inequality):
+                    with pytest.raises(MemoryError, match=r"120\^3 pairs of the inequality route"):
+                        check(self.SPEC, self.D, self.GRID)
                 with pytest.raises(MemoryError, match=r"120\^3 pairs of the inequality route"):
-                    check(self.SPEC, self.D, self.GRID)
+                    scan_all_directions(self.SPEC, self.GRID)
             # an unsupported direction needs no table
             fgm4 = CopulaSpec("fgm", 4, {"lambda": 0.5})
             pure = check_direction_inequality(fgm4, make_direction([1] * 4), self.GRID)

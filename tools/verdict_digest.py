@@ -30,10 +30,11 @@ Groups:
   as ``check --config PATH --format json``: its exit code, its stderr and
   its json report without the ``timing`` block;
 * ``errors``: the exit code and stderr of ``cli.main`` on each bad input
-  of ``BAD_ARGVS`` (the argvs of ``test_usage_errors`` in
-  ``tests/test_cli.py``) and of ``BAD_CONFIGS`` (the config values of its
-  ``test_malformed_config_value_exits_two``, each in a config file of fgm
-  n=2 lambda 0.5), so that a change can show its error paths unchanged.
+  of ``BAD_ARGVS`` and of ``BAD_CONFIGS`` (each value in a config file of
+  fgm n=2 lambda 0.5), both from ``tests/helpers.py``, which
+  ``test_usage_errors`` and ``test_malformed_config_value_exits_two`` in
+  ``tests/test_cli.py`` run too, so that a change can show its error
+  paths unchanged.
 
 The zoo grid is ``family_zoo()`` plus fgm n=5 with lambda -1 and 1, on
 the lattices of 6, 4, 3 and 3 points per axis for n = 2, 3, 4 and 5,
@@ -58,38 +59,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from dirmono import CopulaSpec, checker, cli, survival_cdf  # noqa: E402
 from dirmono.core import Notion, all_directions  # noqa: E402
-from helpers import family_zoo  # noqa: E402
+from helpers import BAD_ARGVS, BAD_CONFIGS, family_zoo  # noqa: E402
 
 GRIDS = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
 EPS_DENS = (1e-12, 0.05, 0.3)
 TOLS = (1e-9, 1e-3)
 BLOCKS = (1, 2, 7, checker._BLOCK)
-
-_PRODUCT = ["check", "--family", "product", "--dim", "2"]
-BAD_ARGVS = [
-    ["check", "--family", "amh", "--dim", "3", "--delta", "0.5"],
-    ["check", "--family", "w", "--dim", "3"],
-    ["check", "--family", "squircle", "--dim", "2"],
-    ["check", "--family", "fgm", "--dim", "2", "--lambda", "1.5"],
-    ["check", "--family", "fgm", "--dim", "2"],
-    _PRODUCT + ["--direction", "+,?"],
-    _PRODUCT + ["--direction", "+"],
-    _PRODUCT + ["--grid", "1"],
-    _PRODUCT + ["--tol", "0"],
-    _PRODUCT + ["--tol", "inf"],
-    _PRODUCT + ["--tol", "nan"],
-    _PRODUCT + ["--eps-den", "inf"],
-    ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "5",
-     "--direction", "+,-", "--direction", "+,-"],
-    ["check", "--dim", "2"],
-]
-BAD_CONFIGS = [
-    {"grid": "abc"}, {"grid": 4.5}, {"lambda": "x"}, {"direction": 5}, {"direction": [5]},
-    {"direction": []}, {"dim": 2.7}, {"dim": True}, {"tol": "inf"}, {"eps_den": 1e999},
-    {"all_directions": "no"}, {"out": 5}, {"out": None}, {"direction": None},
-    {"notion": None}, {"method": "fast"}, {"format": 1}, {"family": 5}, {"grid": 1},
-    {"tol": 10**400},
-]
 
 
 def zoo_specs() -> list[CopulaSpec]:
