@@ -53,9 +53,10 @@ full scan computes each of the (g(g+1)/2)^n quotients once per axis
 (those at w_k = z_k > 0 twice).  The quotients are computed in blocks of
 at most _BLOCK (w, z) pairs, so the memory is O(block + (g+1)^n), never
 g^n x g^n.  The scan only decides, keeping the maximum slack; when it
-exceeds tol, a locate step applies the definition to chunks of targets
-in lattice order, reading F_d at each target's join with every
-condition.
+exceeds tol, a locate step applies the definition to chunks of 1, 2,
+4, ... targets in lattice order, up to about _BLOCK (target, condition)
+pairs, reading F_d at each target's join with every condition, and stops
+at the first chunk that holds a violation.
 
 The scalar functions ``check_pair`` (one pair, either direction kind)
 and ``conditional_prob`` are the independent recheck path: they evaluate
@@ -625,9 +626,6 @@ def scan_direction(
     Both routes take F_d read off ``ctable``, the copula table of the
     spec and lattice (``_copula_table``), which ``scan_all_directions``
     builds once for all its directions; it is built here when not given.
-    F_d is read only when a route reads it: not when the inequality route
-    runs alone on a pure direction other than the all-negative one in
-    dims 2 and 3.
     The lattice is charged as ``scan_all_directions`` charges it.
     """
     _check_direction(spec, d)
@@ -635,10 +633,7 @@ def scan_direction(
     _check_lattice(spec.dim, grid.resolution, method)
     if ctable is None:
         ctable = _copula_table(spec, grid)
-    # the inequality route reads F_d for mixed directions and, in dims 2 and
-    # 3, for the all-negative one
-    inequality_reads = not d.is_pure or (d.signs[0] < 0 and spec.dim <= 3)
-    table = _orthant_table(ctable, d) if method != METHOD_INEQUALITY or inequality_reads else None
+    table = _orthant_table(ctable, d)
     ineq = orac = None
     if method != METHOD_ORACLE:
         ineq = check_direction_inequality(spec, d, grid, tol, notion, table=table)

@@ -17,7 +17,7 @@ class DimensionError(ValueError):
 
 
 class DirectionError(ValueError):
-    """A direction entry is not exactly -1 or +1."""
+    """A direction entry is not exactly -1 or +1, or disagrees with its partition."""
 
 
 class Notion(str, Enum):
@@ -34,14 +34,21 @@ Point = tuple[float, ...]
 class Direction:
     """A sign vector with its partition into negative and positive axes.
 
-    ``neg_idx`` / ``pos_idx`` are 0-based internally; reports render them
-    1-based.  Pure directions (all signs equal) are valid values; the
-    checker decides how they are routed.
+    ``neg_idx`` / ``pos_idx``, 0-based (reports render them 1-based), must
+    be the axes the signs give.  Pure directions (all signs equal) are
+    valid values; the checker decides how they are routed.
     """
 
     signs: tuple[int, ...]
     neg_idx: tuple[int, ...]
     pos_idx: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if (self.neg_idx, self.pos_idx) != _partition(self.signs):
+            raise DirectionError(
+                f"neg_idx {self.neg_idx!r} and pos_idx {self.pos_idx!r} are not the"
+                f" negative and positive axes of signs {self.signs!r}"
+            )
 
     @property
     def dim(self) -> int:
@@ -58,19 +65,23 @@ class Direction:
         return "(" + self.token() + ")"
 
 
-def make_direction(signs: Iterable[int | float]) -> Direction:
-    """Build a Direction from a sequence of +1 / -1 entries."""
-    vals = []
+def _partition(signs: Sequence[int | float]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The negative and positive axes of ``signs``, refusing an entry that
+    is not +1 or -1 and fewer than 2 entries."""
     for s in signs:
         if s != 1 and s != -1:
             raise DirectionError(f"direction entry {s!r} is not +1 or -1")
-        vals.append(int(s))
-    if len(vals) < 2:
-        raise DimensionError(f"direction needs at least 2 entries, got {len(vals)}")
-    sv = tuple(vals)
-    neg = tuple(i for i, s in enumerate(sv) if s < 0)
-    pos = tuple(i for i, s in enumerate(sv) if s > 0)
-    return Direction(signs=sv, neg_idx=neg, pos_idx=pos)
+    if len(signs) < 2:
+        raise DimensionError(f"direction needs at least 2 entries, got {len(signs)}")
+    neg = tuple(i for i, s in enumerate(signs) if s < 0)
+    return neg, tuple(i for i, s in enumerate(signs) if s > 0)
+
+
+def make_direction(signs: Iterable[int | float]) -> Direction:
+    """Build a Direction from a sequence of +1 / -1 entries."""
+    sv = tuple(signs)
+    neg, pos = _partition(sv)
+    return Direction(signs=tuple(map(int, sv)), neg_idx=neg, pos_idx=pos)
 
 
 def direction_from_token(token: str) -> Direction:

@@ -1,18 +1,14 @@
-"""Independent reference implementations used to cross-check the package.
-
-Everything here is deliberately written in plain Python (bitmask subset
-loops, no numpy, no reuse of the package's signed-sum code) so that
-agreement with the package is meaningful.
-"""
+"""Independent reference implementations used to cross-check the package:
+none reuses the package's signed-sum or table code, so that agreement with
+the package is meaningful."""
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
 
-from dirmono import CopulaSpec, DimensionError, cdf
+from dirmono import CopulaSpec, DimensionError, Notion, cdf
 
 Point = tuple[float, ...]
 
@@ -68,15 +64,6 @@ def bf_survival(point_fn, n, u):
 def survival2_closed_form(point_fn, u, v):
     """Bivariate survival value u + v - 1 + C(1-u, 1-v)."""
     return u + v - 1.0 + point_fn((1.0 - u, 1.0 - v))
-
-
-# hand-written family formulas, independent of the package dispatch
-def fgm_formula(lam):
-    return lambda u: prod(u) * (1.0 + lam * prod(1.0 - x for x in u))
-
-
-def amh_formula(delta):
-    return lambda u: u[0] * u[1] / (1.0 + delta * (1.0 - u[0]) * (1.0 - u[1]))
 
 
 def point_fn(spec: CopulaSpec):
@@ -152,37 +139,37 @@ BAD_CONFIGS = [
 ]
 
 
-def oracle_max_slack(table, signs, eps_den, decreasing, informative_only=False):
-    """The oracle's maximum slack, dense, off its definition: over every
-    condition w, join z >= w and axis k of F_d (``table``, shape (g,)*n)
-    with the negative axes of ``signs`` flipped, the quotient F_d(z)/F_d(w)
-    against the one at w + e_k and its join with z, a quotient whose
-    F_d(w) is below ``eps_den`` read as nan and a nan slack as -inf.
-    ``informative_only`` keeps the steps where w and z share coordinate k.
-    Every (w, z) pair is held at once, in numpy, so keep g^n small."""
+def oracle_max_slack(table, signs, eps_dens, informative_only=False):
+    """The oracle's maximum slack, dense, off its definition, keyed (notion,
+    eps_den) for both notions and each of ``eps_dens``: over every condition
+    w, join z >= w and axis k of F_d (``table``, shape (g,)*n) with the
+    negative axes of ``signs`` flipped, the quotient F_d(z)/F_d(w) against
+    the one at w + e_k and its join with z, a quotient whose F_d(w) is below
+    eps_den read as nan and a nan slack as -inf.  ``informative_only`` keeps
+    the steps where w and z share coordinate k.  Every (w, z) pair is held
+    at once, in numpy, so keep g^n small."""
     g, n = table.shape[0], table.ndim
     oriented = table[tuple(slice(None, None, s) for s in signs)]
-    den = np.where(oriented >= eps_den, oriented, np.nan)
     points = np.array(list(product(range(g), repeat=n)))
-    shape = (len(points), len(points), n)
-    w, z = np.broadcast_to(points[:, None], shape), np.broadcast_to(points[None], shape)
-
-    def at(p):
-        return tuple(np.moveaxis(p, -1, 0))
-
-    best = -np.inf
+    # the pairs w <= z, in (w, z) lattice order
+    pair_w, pair_z = np.nonzero((points[:, None] <= points[None]).all(axis=-1))
+    best = {(notion, eps_den): -np.inf for notion in Notion for eps_den in eps_dens}
     for k in range(n):
-        w2 = w.copy()
-        w2[..., k] = np.minimum(w[..., k] + 1, g - 1)
-        z2 = np.maximum(z, w2)
-        lhs = oriented[at(z)] / den[at(w)]
-        rhs = oriented[at(z2)] / den[at(w2)]
-        slack = rhs - lhs if decreasing else lhs - rhs
-        kept = (w <= z).all(axis=-1) & (w[..., k] < g - 1)
+        kept = points[pair_w, k] < g - 1
         if informative_only:
-            kept &= w[..., k] == z[..., k]
-        best = max(best, float(np.where(np.isnan(slack), -np.inf, slack)[kept].max()))
+            kept &= points[pair_w, k] == points[pair_z, k]
+        w, z = points[pair_w[kept]], points[pair_z[kept]]
+        w2 = w + (np.arange(n) == k)
+        # F_d at the join, the condition, the next condition and its join
+        num, cond, num2, cond2 = (oriented[tuple(p.T)] for p in (z, w, np.maximum(z, w2), w2))
+        for eps_den in eps_dens:
+            lhs = num / np.where(cond >= eps_den, cond, np.nan)
+            rhs = num2 / np.where(cond2 >= eps_den, cond2, np.nan)
+            for notion, slack in ((Notion.INCREASING, lhs - rhs), (Notion.DECREASING, rhs - lhs)):
+                top = float(np.where(np.isnan(slack), -np.inf, slack).max())
+                best[notion, eps_den] = max(best[notion, eps_den], top)
     return best
+
 
 def all_sign_vectors(n):
     return list(product((1, -1), repeat=n))

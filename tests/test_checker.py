@@ -376,25 +376,6 @@ class TestScans:
         scan_all_directions(spec, GridSpec(5), method=METHOD_ORACLE)
         assert families_built == ["fgm"]
 
-    def test_inequality_only_scan_builds_no_unread_f_d(self, monkeypatch):
-        # the inequality route reads the survival table for the all-positive
-        # direction in dims 2 and 3, and no table for a pure direction beyond;
-        # on one CPU, so that every call is recorded in this process
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        read, built = checker._orthant_table, []
-
-        def recorded(ctable, d):
-            built.append(d.signs)
-            return read(ctable, d)
-
-        monkeypatch.setattr(checker, "_orthant_table", recorded)
-        for n in (3, 4):
-            spec = CopulaSpec("fgm", n, {"lambda": 0.5})
-            scan_all_directions(spec, GridSpec(3), method=METHOD_INEQUALITY)
-        read_ones = [d.signs for d in all_directions(3) if d.signs != (1, 1, 1)]
-        read_ones += [d.signs for d in all_directions(4) if not d.is_pure]
-        assert sorted(built) == sorted(read_ones)
-
     def test_repeated_direction_is_refused_before_any_table(self, monkeypatch):
         monkeypatch.setattr(checker, "_copula_table", None)
         spec, d = CopulaSpec("fgm", 2, {"lambda": 0.5}), make_direction([1, -1])
@@ -582,11 +563,31 @@ class TestParallelScan:
 
         monkeypatch.setattr(checker, "scan_direction", failing)
 
+    # two specs that give, at this test's grid, every verdict shape (outcome, method,
+    # counterexample kind, max_slack is None, methods_agree) family_zoo() gives at its grids
+    _SPECS = [CopulaSpec("fgm", 5, {"lambda": 0.5}), CopulaSpec("m", 4)]
+    _INEQUALITY = {(PASS_AT_RESOLUTION, METHOD_INEQUALITY, None, False, None),
+                   (REFUTED, METHOD_INEQUALITY, "pair", False, None),
+                   (UNSUPPORTED, METHOD_INEQUALITY, None, True, None)}
+    _ORACLE_D = {(REFUTED, METHOD_ORACLE, "step", False, None),
+                 (UNSUPPORTED, METHOD_ORACLE, None, True, None)}
+    _BOTH = {(PASS_AT_RESOLUTION, METHOD_INEQUALITY, None, False, None),
+             (REFUTED, METHOD_BOTH, "pair", False, True),
+             (REFUTED, METHOD_ORACLE, "step", False, None)}
+    _SHAPES = {
+        (METHOD_INEQUALITY, "I"): _INEQUALITY, (METHOD_INEQUALITY, "D"): _INEQUALITY,
+        (METHOD_ORACLE, "I"): _ORACLE_D | {(PASS_AT_RESOLUTION, METHOD_ORACLE, None, False, None)},
+        (METHOD_ORACLE, "D"): _ORACLE_D,
+        (METHOD_BOTH, "I"): _BOTH | {(PASS_AT_RESOLUTION, METHOD_BOTH, None, False, True),
+                                     (PASS_AT_RESOLUTION, METHOD_ORACLE, None, False, None)},
+        (METHOD_BOTH, "D"): _BOTH | {(REFUTED, METHOD_BOTH, "step", False, False)},
+    }
+
     @pytest.mark.parametrize("notion", list(Notion), ids=lambda n: n.value)
     @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE, METHOD_BOTH])
     def test_verdicts_do_not_depend_on_the_cpus(self, monkeypatch, cpus, forks, method, notion):
-        for spec in family_zoo():
-            grid = GridSpec(3 if spec.dim <= 3 else 2)
+        grid, shapes = GridSpec(2), set()
+        for spec in self._SPECS:
             every = all_directions(spec.dim)
             # out of lattice order, so that the verdicts' order is the request's
             for chosen in (None, every[-1:], every[::-1][:2], [every[2], every[0], every[-1]]):
@@ -596,9 +597,12 @@ class TestParallelScan:
                     one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
                     assert shared == scan_all_directions(spec, grid, **kwargs), spec.describe()
                 assert [v.direction for v in shared] == list(chosen or every)
+                shapes |= {(v.outcome, v.method, v.counterexample and v.counterexample.kind,
+                            v.max_slack is None, v.methods_agree) for v in shared}
         _no_child_left()
+        assert shapes == self._SHAPES[method, notion.value]
         # each scan of all 2^n >= 4 directions forks a worker per share but the first
-        assert len(forks) >= len(family_zoo()) * (cpus - 1)
+        assert len(forks) >= len(self._SPECS) * (cpus - 1)
 
     @pytest.mark.parametrize(
         "error", [MemoryError("worker out of memory"), ValueError("worker refused")],
@@ -1303,11 +1307,8 @@ class TestOracleMaximum:
         ctable = checker._copula_table(spec, grid)
         for d in all_directions(spec.dim):
             table = checker._orthant_table(ctable, d)
-            for notion, eps_den in product(Notion, eps_dens):
-                v = check_direction_oracle(
-                    spec, d, grid, eps_den=eps_den, notion=notion, table=table
-                )
-                dense = oracle_max_slack(table, d.signs, eps_den, notion is Notion.DECREASING)
+            for (notion, eps_den), dense in oracle_max_slack(table, d.signs, eps_dens).items():
+                v = check_direction_oracle(spec, d, grid, DEFAULT_TOL, eps_den, notion, table=table)
                 expected = None if dense == -np.inf else dense
                 assert repr(v.max_slack) == repr(expected), (d.pretty(), notion, eps_den)
 
@@ -1337,8 +1338,9 @@ class TestOracleMaximum:
         table = checker._orthant_table(checker._copula_table(spec, grid), d)
         v = check_direction_oracle(spec, d, grid, eps_den=eps_den, table=table)
         assert v.outcome == PASS_AT_RESOLUTION
-        assert v.max_slack == oracle_max_slack(table, signs, eps_den, False) == dense
-        assert oracle_max_slack(table, signs, eps_den, False, informative_only=True) == informative
+        key = Notion.INCREASING, eps_den
+        assert v.max_slack == oracle_max_slack(table, signs, [eps_den])[key] == dense
+        assert oracle_max_slack(table, signs, [eps_den], informative_only=True)[key] == informative
         assert informative < dense
 
 

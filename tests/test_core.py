@@ -4,6 +4,7 @@ import pytest
 from dirmono import (
     CopulaSpec,
     DimensionError,
+    Direction,
     DirectionError,
     cdf,
     direction_from_token,
@@ -41,6 +42,16 @@ class TestMakeDirection:
     def test_rejects_short_direction(self):
         with pytest.raises(DimensionError):
             make_direction([1])
+
+    def test_direction_refuses_a_partition_other_than_its_signs(self):
+        # a scan reads the partition, a report the signs
+        with pytest.raises(DirectionError, match="not the negative and positive axes"):
+            Direction(signs=(1, -1), neg_idx=(), pos_idx=(0, 1))
+        with pytest.raises(DirectionError, match=r"direction entry 3 is not \+1 or -1"):
+            Direction(signs=(3,), neg_idx=(), pos_idx=())
+        with pytest.raises(DimensionError, match="at least 2 entries, got 1"):
+            Direction(signs=(1,), neg_idx=(), pos_idx=(0,))
+        assert Direction(signs=(1, -1), neg_idx=(1,), pos_idx=(0,)) == make_direction([1, -1])
 
     def test_token_round_trip(self):
         d = direction_from_token("+,-,+")
