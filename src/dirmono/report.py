@@ -49,6 +49,7 @@ class ScanReport:
     verdicts: tuple[DirectionVerdict, ...]
     disagreements: tuple[str, ...]
     elapsed_seconds: float
+    minor_faults: int | None = None  # taken during the scan; None without ``resource``
 
 
 def exit_code(report: ScanReport) -> int:
@@ -126,7 +127,8 @@ def report_to_dict(report: ScanReport) -> dict[str, Any]:
         "config": _config_to_dict(report.config),
         "verdicts": [_verdict_to_dict(v) for v in report.verdicts],
         "disagreements": list(report.disagreements),
-        "timing": {"elapsed_seconds": float(report.elapsed_seconds)},
+        "timing": {"elapsed_seconds": float(report.elapsed_seconds),
+                   "minor_faults": report.minor_faults},
     }
 
 
