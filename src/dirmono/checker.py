@@ -84,11 +84,14 @@ lattice order.
 
 ``scan_all_directions`` splits its directions into w interleaved shares,
 ``chosen[i::w]``, where w is the least of the CPUs this process may use,
-the number of directions, and how many of ``_check_lattice``'s charges
-fit in memory.  It scans share 0 itself and each other share in a worker
-forked after the copula table is built, which reads the table it
-inherits and pipes back its pickled verdicts, or the exception it raised,
-raised again with its type and message; one that ends without a result
+the number of directions, how many of ``_check_lattice``'s charges fit in
+memory, and how many times the scan's comparisons, as ``_comparisons``
+estimates them, hold _SHARE_COMPARISONS, the least work that pays for a
+fork (but at least 1), so that a scan of a few ms runs here.  It scans
+share 0 itself and each other share in a worker forked after the
+copula table is built, which reads the table it inherits and pipes back
+its pickled verdicts, or the exception it raised, raised again with its
+type and message; one that ends without a result, or with one cut short,
 raises ChildProcessError.  Every worker is reaped before the scan returns
 or raises.  Without ``os.fork`` or ``os.sched_getaffinity``, or when a
 fork fails, the share is scanned in this process.  Every verdict comes
@@ -140,6 +143,12 @@ _PAIR_PEAK_BYTES = 29
 # tracemalloc over 12 specs from (2,1000) to (8,5), the most at survival-of amh
 # (2,400); the oracle's blocks add O(_BLOCK)
 _TABLE_PEAK_BYTES = 72
+
+# the least comparisons (``_comparisons``) that pay for a fork; one process against
+# two on 2 CPUs, CLI elapsed_seconds, medians of 24 alternating runs: survival-of fgm
+# (3,9), 1.17M, 13.8 vs 13.9 ms; survival-of convexpim (3,9) D, 2.92M, 19.9 vs 17.1 ms;
+# fgm (3,15) oracle, 5.18M, 18.8 vs 19.5 ms; fgm (4,6), 6.67M, 38.4 vs 27.8 ms
+_SHARE_COMPARISONS = 1 << 20
 
 # (condition, join) pairs in one block of the oracle's conditionals;
 # larger blocks gain no speed and raise peak memory
@@ -243,6 +252,17 @@ def _check_lattice(n: int, g: int, method: str) -> int:
         raise MemoryError(f"the {pairs}^{n} pairs of the inequality route and the tables "
                           "do not fit in memory")
     return charge
+
+
+def _comparisons(n: int, g: int, method: str, notion: Notion) -> int:
+    """One direction's comparisons, estimated: with P = g(g+1)/2, the inequality
+    route's P^n pairs and the oracle's quotients, n g P^(n-1) informative ones
+    under I and n P^n under D, where the full scan computes each once per axis."""
+    pairs = g * (g + 1) // 2
+    work = 0 if method == METHOD_ORACLE else pairs**n
+    if method != METHOD_INEQUALITY:
+        work += n * (g if notion is Notion.INCREASING else pairs) * pairs ** (n - 1)
+    return work
 
 
 def _check_tol(tol: float) -> None:
@@ -687,8 +707,9 @@ def scan_all_directions(
     once.  A lattice that no table can hold is refused before anything is
     allocated, as ``_check_lattice`` refuses it.  The copula table is built
     once and handed to every direction.  The directions are scanned in
-    interleaved shares, one per usable CPU as far as memory allows, each
-    but the first in a forked worker (``_in_workers``).
+    interleaved shares, one per usable CPU as far as memory and the work
+    (_SHARE_COMPARISONS per share) allow, each but the first in a forked
+    worker (``_in_workers``).
     """
     validate(spec)
     notion = _check_settings(tol, notion, eps_den, method)
@@ -707,7 +728,8 @@ def scan_all_directions(
     ctable = _copula_table(spec, grid)
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     cpus = len(os.sched_getaffinity(0)) if can_fork else 1
-    w = min(cpus, len(chosen), _MEMORY // charge)
+    work = len(chosen) * _comparisons(spec.dim, grid.resolution, method, notion)
+    w = min(cpus, len(chosen), _MEMORY // charge, max(1, work // _SHARE_COMPARISONS))
 
     def scan(share: list[Direction]) -> list[DirectionVerdict]:
         return [scan_direction(spec, d, grid, method, tol, eps_den, notion, ctable=ctable)
@@ -744,9 +766,11 @@ def _in_workers(scan: Callable[[list], list], shares: list) -> list:
             pipes[i] = (pid, os.fdopen(r, "rb"))
         results = [None if i in pipes else scan(share) for i, share in enumerate(shares)]
         for i, (_, out) in pipes.items():
-            if not (data := out.read()):
-                raise ChildProcessError("a scan worker ended without a result")
-            ok, results[i] = pickle.loads(data)
+            try:
+                ok, results[i] = pickle.loads(out.read())
+            except (pickle.UnpicklingError, EOFError) as exc:
+                # nothing, or a pickle cut short by the worker's end
+                raise ChildProcessError("a scan worker ended without a result") from exc
             if not ok:
                 raise results[i]
         return results

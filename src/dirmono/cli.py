@@ -13,10 +13,10 @@ usage-error line.
 Exit codes: 0 every requested direction passed at the grid resolution,
 1 some direction was refuted (or could not be fully checked), 2 usage or
 configuration error, a scan that ran out of memory, a scan worker that
-ended without a result, or an output file that cannot be written, 3 the
-two check methods disagreed somewhere or a reported counterexample did
-not re-verify (an internal defect worth reporting, not a property of the
-copula).
+ended without a result, or an output file or stdout that cannot be
+written, 3 the two check methods disagreed somewhere or a reported
+counterexample did not re-verify (an internal defect worth reporting,
+not a property of the copula).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 import time
 from typing import Sequence
@@ -245,7 +246,15 @@ def run(config: RunConfig) -> int:
             print(f"dirmono: error: cannot write {config.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as exc:  # a reader that closed the pipe early, a full disk
+            # the unwritten report stays buffered: at exit it flushes to devnull
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            print(f"dirmono: error: cannot write the report to stdout: {exc}", file=sys.stderr)
+            return 2
     return exit_code(report)
 
 

@@ -1,5 +1,6 @@
 import gc
 import os
+import pickle
 import time
 import tracemalloc
 import weakref
@@ -533,11 +534,14 @@ def _no_child_left():
 class TestParallelScan:
     """``scan_all_directions`` splits its directions into interleaved
     shares, scanning all but the first in forked workers; the CPUs are
-    patched so that the tests do not depend on the machine."""
+    patched so that the tests do not depend on the machine, and under the
+    ``cpus`` fixture a share needs only one comparison, so that these small
+    scans fork."""
 
     @pytest.fixture(params=[2, 4], ids=["2cpus", "4cpus"])
     def cpus(self, request, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        monkeypatch.setattr(checker, "_SHARE_COMPARISONS", 1)
         return request.param
 
     @pytest.fixture
@@ -642,8 +646,8 @@ class TestParallelScan:
         assert time.monotonic() - start < 10
         _no_child_left()
 
-    def test_a_worker_without_a_result_is_one_error_line(self, monkeypatch, capsys, cpus):
-        self._in_workers_only(monkeypatch, lambda: os._exit(1))
+    @staticmethod
+    def _ends_without_a_result(capsys):
         spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
         with pytest.raises(ChildProcessError, match="ended without a result"):
             scan_all_directions(spec, GridSpec(4))
@@ -654,6 +658,22 @@ class TestParallelScan:
         assert captured.out == ""
         assert captured.err == "dirmono: error: a scan worker ended without a result\n"
         _no_child_left()
+
+    def test_a_worker_without_a_result_is_one_error_line(self, monkeypatch, capsys, cpus):
+        self._in_workers_only(monkeypatch, lambda: os._exit(1))
+        self._ends_without_a_result(capsys)
+
+    def test_a_truncated_result_is_one_error_line(self, monkeypatch, capsys, cpus):
+        # a worker that dies while it writes, say killed while blocked on a
+        # full pipe, leaves the first part of its pickle
+        parent, dumps = os.getpid(), pickle.dumps
+
+        def cut_short(obj):
+            data = dumps(obj)
+            return data if os.getpid() == parent else data[: len(data) // 2]
+
+        monkeypatch.setattr(pickle, "dumps", cut_short)
+        self._ends_without_a_result(capsys)
 
     @pytest.mark.parametrize("method", [METHOD_ORACLE, METHOD_BOTH])
     def test_workers_are_capped_by_the_lattice_charge(self, monkeypatch, cpus, forks, method):
@@ -677,6 +697,37 @@ class TestParallelScan:
         assert scan_all_directions(spec, grid, directions=one)[0].direction == one[0]
         monkeypatch.setattr(checker, "_MEMORY", checker._check_lattice(3, 4, METHOD_BOTH))
         assert len(scan_all_directions(spec, grid)) == 8
+
+    def test_a_scan_too_small_for_a_fork_stays_here(self, monkeypatch):
+        # with the real _SHARE_COMPARISONS, on 4 CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+        def refused():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refused)
+        amh = CopulaSpec("amh", 2, {"delta": 0.5})
+        for spec, g in [(CopulaSpec("fgm", 3, {"lambda": 0.5}), 4),
+                        (CopulaSpec("survival", 2, inner=amh), 21)]:
+            assert len(scan_all_directions(spec, GridSpec(g))) == 2**spec.dim
+
+    def test_each_share_holds_the_least_work_of_a_fork(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        spec, grid = CopulaSpec("fgm", 3, {"lambda": 0.5}), GridSpec(4)
+        here = scan_all_directions(spec, grid)
+        work = 8 * checker._comparisons(3, 4, METHOD_BOTH, Notion.INCREASING)
+        # two shares' worth of work on 4 CPUs: one worker
+        monkeypatch.setattr(checker, "_SHARE_COMPARISONS", work // 2)
+        assert scan_all_directions(spec, grid) == here
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("n,g", [(2, 7), (3, 4), (4, 3)])
+    def test_the_estimate_counts_the_inequality_pairs(self, n, g):
+        spec, d = CopulaSpec("fgm", n, {"lambda": 0.5}), make_direction([1] + [-1] * (n - 1))
+        verdict = check_direction_inequality(spec, d, GridSpec(g))
+        for notion in Notion:
+            assert checker._comparisons(n, g, METHOD_INEQUALITY, notion) == verdict.pairs_tested
 
     def test_a_failed_fork_scans_its_share_here(self, monkeypatch, cpus):
         spec, grid = CopulaSpec("fgm", 3, {"lambda": -0.5}), GridSpec(4)

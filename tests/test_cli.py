@@ -1,4 +1,5 @@
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -458,6 +459,24 @@ class TestReportFormats:
         assert result.returncode == 2
         [line] = result.stderr.splitlines()
         assert line.startswith("dirmono: error: cannot write")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_closed_stdout_is_one_error_line(self, fmt):
+        # a reader gone before the report is written, as `| head -c1` may be
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "dirmono", "check", "--family", "fgm", "--dim", "2",
+                 "--lambda", "0.5", "--grid", "9", "--format", fmt],
+                stdout=write, stderr=subprocess.PIPE, text=True, cwd=REPO,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == 2
+        # one line: no traceback, and no "Exception ignored" from the flush at exit
+        [line] = result.stderr.splitlines()
+        assert line.startswith("dirmono: error: cannot write the report to stdout:")
 
     def test_run_function_matches_subprocess(self, tmp_path, capsys):
         cfg = parse_config(
