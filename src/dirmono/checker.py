@@ -94,8 +94,9 @@ its pickled verdicts, or the exception it raised, raised again with its
 type and message; one that ends without a result, or with one cut short,
 raises ChildProcessError.  Every worker is reaped before the scan returns
 or raises.  Without ``os.fork`` or ``os.sched_getaffinity``, or when a
-fork fails, the share is scanned in this process.  Every verdict comes
-from ``scan_direction`` either way, so none depends on w.
+worker's pipe or fork cannot be made, its share is scanned in this
+process.  Every verdict comes from ``scan_direction`` either way, so
+none depends on w.
 """
 
 from __future__ import annotations
@@ -741,12 +742,16 @@ def scan_all_directions(
 
 def _in_workers(scan: Callable[[list], list], shares: list) -> list:
     """``scan`` of each share: the first here, each other in a forked worker
-    that pipes back its result or its exception, or here when its fork fails.
+    that pipes back its result or its exception, or here when its pipe or
+    its fork cannot be made.
     Every worker is reaped before this returns or raises."""
     pipes = {}  # share index -> (pid, read end of the worker's pipe)
     try:
         for i in range(1, len(shares)):
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:  # no descriptor to spare (EMFILE, ENFILE)
+                continue
             try:
                 pid = os.fork()
             except OSError:

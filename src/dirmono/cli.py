@@ -52,6 +52,10 @@ class UsageError(ValueError):
     """Bad flags or config file content; exits 2, as the library's ValueErrors do."""
 
 
+class _Unwritable(Exception):
+    """The report cannot be written to ``--out`` or stdout; exits 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError where argparse would print usage and exit."""
     def error(self, message: str):
@@ -200,71 +204,53 @@ def _minor_faults() -> int:
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
-def run(config: RunConfig) -> int:
-    """Execute the scan described by ``config`` and write the report.
-
-    The library checks the settings: a bad one raises ValueError.
-    """
-    _keep_freed_memory()
-    faults = _minor_faults() if resource else None
-    start = time.perf_counter()
-    try:
-        verdicts = scan_all_directions(
-            config.spec,
-            GridSpec(config.grid),
-            method=config.method,
-            tol=config.tol,
-            eps_den=config.eps_den,
-            notion=config.notion,
-            directions=config.directions,
-        )
-    except MemoryError as exc:
-        n, g = config.spec.dim, config.grid
-        print(
-            f"dirmono: error: not enough memory to scan the lattice of grid {g} "
-            f"in dim {n} ({str(exc) or 'out of memory'}); try a smaller --grid or --dim",
-            file=sys.stderr,
-        )
-        return 2
-    elapsed = time.perf_counter() - start
-    faults = None if faults is None else _minor_faults() - faults
-    report = ScanReport(
-        config=config,
-        verdicts=tuple(verdicts),
-        disagreements=tuple(
-            v.direction.token() for v in verdicts if v.methods_agree is False
-        ),
-        elapsed_seconds=elapsed,
-        minor_faults=faults,
-    )
-    payload = format_report(report, config.fmt)
-    if config.out:
-        try:
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"dirmono: error: cannot write {config.out}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            sys.stdout.write(payload)
-            sys.stdout.flush()
-        except OSError as exc:  # a reader that closed the pipe early, a full disk
-            # the unwritten report stays buffered: at exit it flushes to devnull
-            with open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-            print(f"dirmono: error: cannot write the report to stdout: {exc}", file=sys.stderr)
-            return 2
-    return exit_code(report)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``), scan, write the report and
+    return the exit code; a failed step prints one error line and returns 2."""
     try:
-        return run(parse_config(argv))
-    except (ValueError, ChildProcessError) as exc:
+        config = parse_config(list(sys.argv[1:] if argv is None else argv))
+        _keep_freed_memory()
+        faults = _minor_faults() if resource else None
+        start = time.perf_counter()
+        try:
+            verdicts = scan_all_directions(
+                config.spec,
+                GridSpec(config.grid),
+                method=config.method,
+                tol=config.tol,
+                eps_den=config.eps_den,
+                notion=config.notion,
+                directions=config.directions,
+            )
+        except MemoryError as exc:
+            raise MemoryError(
+                f"not enough memory to scan the lattice of grid {config.grid} in dim "
+                f"{config.spec.dim} ({str(exc) or 'out of memory'}); try a smaller --grid or --dim"
+            ) from exc
+        report = ScanReport(
+            config=config,
+            verdicts=tuple(verdicts),
+            elapsed_seconds=time.perf_counter() - start,
+            minor_faults=None if faults is None else _minor_faults() - faults,
+        )
+        payload = format_report(report, config.fmt)
+        try:
+            if config.out:
+                with open(config.out, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            else:
+                sys.stdout.write(payload)
+                sys.stdout.flush()
+        except OSError as exc:
+            if not config.out:  # a reader that closed the pipe early, a full disk:
+                # the unwritten report stays buffered; at exit it flushes to devnull
+                with open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise _Unwritable(f"cannot write {config.out or 'the report to stdout'}: {exc}")
+    except (ValueError, ChildProcessError, MemoryError, _Unwritable) as exc:
         print(f"dirmono: error: {exc}", file=sys.stderr)
         return 2
+    return exit_code(report)
 
 
 if __name__ == "__main__":

@@ -47,9 +47,13 @@ class RunConfig:
 class ScanReport:
     config: RunConfig
     verdicts: tuple[DirectionVerdict, ...]
-    disagreements: tuple[str, ...]
     elapsed_seconds: float
     minor_faults: int | None = None  # taken during the scan; None without ``resource``
+
+    @property
+    def disagreements(self) -> tuple[str, ...]:
+        """The directions whose routes disagreed or whose counterexample failed its recheck."""
+        return tuple(v.direction.token() for v in self.verdicts if v.methods_agree is False)
 
 
 def exit_code(report: ScanReport) -> int:

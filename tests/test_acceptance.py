@@ -5,9 +5,9 @@ Scan results are cached so the method-equivalence criterion can audit
 exactly the verdicts produced by the classification criteria.
 """
 
+import contextlib
+import io
 import json
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -63,6 +63,16 @@ def timed_scan(spec, grid, method="both", directions=None):
         )
         _scan_cache[key] = (verdicts, time.perf_counter() - start)
     return _scan_cache[key]
+
+
+def run_main(argv):
+    """``cli.main(argv)`` in this process: its exit code, stdout and stderr.
+    Redirected rather than taken with capsys, so that a test's own
+    ``[acceptance]`` line still prints under ``-s``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def outcome_sets(verdicts):
@@ -300,17 +310,10 @@ def test_fixture_suite_runs_with_expected_exit_codes():
     seen = set()
     for path in sorted(FIXTURES.glob("*.json")):
         expected = _FIXTURE_EXPECTATIONS[path.name]
-        result = subprocess.run(
-            [sys.executable, "-m", "dirmono", "check", "--config", str(path)],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-        )
-        assert result.returncode == expected, (
-            f"{path.name}: exit {result.returncode}, expected {expected}\n{result.stderr}"
-        )
+        code, out, err = run_main(["check", "--config", str(path)])
+        assert code == expected, f"{path.name}: exit {code}, expected {expected}\n{err}"
         if expected != 2:
-            report = json.loads(result.stdout)
+            report = json.loads(out)
             assert report["schema_version"] == 1
             del report["timing"]
             assert report == pinned[path.name], f"{path.name}: report differs from pinned"
@@ -320,7 +323,7 @@ def test_fixture_suite_runs_with_expected_exit_codes():
     print(f"[acceptance] fixture suite: PASS  {len(seen)} configs with expected exit codes")
 
 
-def test_oracle_reports_match_pinned(capsys):
+def test_oracle_reports_match_pinned():
     # scans that the fixtures do not cover (the D notion, large and tiny
     # --eps-den, n = 4 and 5, a survival-of family, inequality alone),
     # pinned as the scans reported them before the oracle moved to an
@@ -329,8 +332,8 @@ def test_oracle_reports_match_pinned(capsys):
     # changed last bit or sign of zero shows
     pinned = json.loads((REPO / "tests" / "oracle_reports.json").read_text())
     for name, case in pinned.items():
-        code = main(case["argv"])
-        report = json.loads(capsys.readouterr().out)
+        code, out, _ = run_main(case["argv"])
+        report = json.loads(out)
         del report["timing"]
         assert code == case["exit_code"], name
         assert json.dumps(report) == json.dumps(case["report"]), name

@@ -1,3 +1,4 @@
+import errno
 import gc
 import os
 import pickle
@@ -742,6 +743,26 @@ class TestParallelScan:
         assert scan_all_directions(spec, grid) == shared
         _no_child_left()
 
+    def test_a_failed_pipe_scans_its_share_here(self, monkeypatch, capsys, cpus):
+        # out of file descriptors, as a failed fork: each share is scanned here
+        spec, grid = CopulaSpec("fgm", 5, {"lambda": 0.5}), GridSpec(2)
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            here = scan_all_directions(spec, grid)
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        def refused():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        monkeypatch.setattr(os, "fork", refused)
+        assert scan_all_directions(spec, grid) == here
+        argv = ["check", "--family", "fgm", "--dim", "5", "--lambda", "0.5", "--grid", "2"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == ""
+
 
 class TestSoundnessAndStability:
     def test_counterexamples_reverify_from_scratch(self):
@@ -1019,6 +1040,20 @@ class TestScanRechecks:
         assert cex.kind == "step" and recheck_counterexample(spec, cex)
         with pytest.raises(ValueError, match="target and an axis"):
             recheck_counterexample(spec, replace(cex, **{missing: None}))
+
+    def test_a_step_whose_conditional_is_undefined_is_not_confirmed(self):
+        # W has no mass below the later condition (0.3, 0.6), only below the earlier
+        d = make_direction([-1, -1])
+        cex = Counterexample(d, (0.3, 0.6), (0.6, 0.6), 1.0, 0.0, 1.0, kind="step",
+                             target=(0.5, 0.5), axis=0)
+        assert conditional_prob(CopulaSpec("w", 2), d, cex.target, cex.u_high) is not None
+        assert recheck_counterexample(CopulaSpec("w", 2), cex) is False
+
+    def test_an_unknown_kind_is_a_value_error(self):
+        spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        cex = scan_direction(spec, make_direction([1, -1]), GridSpec(9)).counterexample
+        with pytest.raises(ValueError, match="unknown counterexample kind 'box'"):
+            recheck_counterexample(spec, replace(cex, kind="box"))
 
     @pytest.mark.parametrize("method", [METHOD_INEQUALITY, METHOD_ORACLE])
     def test_nan_tol_is_a_value_error_before_any_evaluation(self, monkeypatch, method):

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from dirmono.checker import (
     UNSUPPORTED,
     scan_all_directions,
 )
-from dirmono.cli import UsageError, main, parse_config, run
+from dirmono.cli import UsageError, main, parse_config
 from dirmono.core import make_direction
 from helpers import BAD_ARGVS, BAD_CONFIGS
 
@@ -35,7 +36,15 @@ FIXTURES = REPO / "fixtures"
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 
 
-def invoke(*args):
+def invoke(capsys, *args):
+    """``cli.main(args)`` in this process: its exit code, stdout and stderr."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=captured.out, stderr=captured.err)
+
+
+def spawn(*args):
+    """``python -m dirmono args`` in a fresh process."""
     return subprocess.run(
         [sys.executable, "-m", "dirmono", *args],
         capture_output=True,
@@ -92,10 +101,6 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="--family is required"):
             parse_config(["check", "--dim", "2"])
 
-    def test_unknown_flag_is_usage_error(self):
-        result = invoke("check", "--family", "product", "--dim", "2", "--frobnicate")
-        assert result.returncode == 2
-
     @pytest.mark.parametrize(
         "args",
         [
@@ -107,8 +112,8 @@ class TestParseConfig:
         ],
         ids=["method-fast", "grid-abc", "tol-abc", "unknown-flag", "no-subcommand"],
     )
-    def test_flag_errors_print_one_message(self, args):
-        result = invoke(*args)
+    def test_flag_errors_print_one_message(self, capsys, args):
+        result = invoke(capsys, *args)
         assert result.returncode == 2
         assert result.stderr.startswith("dirmono: error:")
         assert "Traceback" not in result.stderr
@@ -129,14 +134,27 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(["check", "--config", "/definitely/not/here.json"])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"family": "fgm",', "is not valid json"), ('["fgm", 2]', "must hold a json object")],
+        ids=["not-json", "list"],
+    )
+    def test_config_file_that_is_no_json_object_exits_two(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(text)
+        result = invoke(capsys, "check", "--config", str(cfg_file))
+        assert result.returncode == 2 and result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"dirmono: error: config file {cfg_file} ") and message in line
+
     # 10**400 has 401 digits, too many for a test id
     @pytest.mark.parametrize(
         "bad", BAD_CONFIGS, ids=lambda bad: str(bad).replace(str(10**400), "10**400")
     )
-    def test_malformed_config_value_exits_two(self, tmp_path, bad):
+    def test_malformed_config_value_exits_two(self, tmp_path, capsys, bad):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps({"family": "fgm", "dim": 2, "lambda": 0.5, **bad}))
-        result = invoke("check", "--config", str(cfg_file))
+        result = invoke(capsys, "check", "--config", str(cfg_file))
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("dirmono: error:")
@@ -228,12 +246,18 @@ class TestParseConfig:
 
 
 class TestExitCodes:
-    def test_pass_run(self):
-        result = invoke("check", "--config", str(FIXTURES / "pi3_all.json"))
+    def test_python_m_dirmono_exits_with_mains_code(self, capsys):
+        # the one exit code read from a fresh process; the other tests call main here
+        argv = ["check", "--config", str(FIXTURES / "fgm2_mixed_refuted.json")]
+        assert spawn(*argv).returncode == main(argv) == 1
+        capsys.readouterr()
+
+    def test_pass_run(self, capsys):
+        result = invoke(capsys, "check", "--config", str(FIXTURES / "pi3_all.json"))
         assert result.returncode == 0
 
-    def test_refuted_run_reports_counterexample(self):
-        result = invoke("check", "--config", str(FIXTURES / "fgm2_mixed_refuted.json"))
+    def test_refuted_run_reports_counterexample(self, capsys):
+        result = invoke(capsys, "check", "--config", str(FIXTURES / "fgm2_mixed_refuted.json"))
         assert result.returncode == 1
         data = json.loads(result.stdout)
         (verdict,) = data["verdicts"]
@@ -265,18 +289,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "dirmono: error: direction +,- is requested more than once\n"
 
-    def test_config_error_run(self):
-        result = invoke("check", "--config", str(FIXTURES / "amh_invalid_dim.json"))
+    def test_config_error_run(self, capsys):
+        result = invoke(capsys, "check", "--config", str(FIXTURES / "amh_invalid_dim.json"))
         assert result.returncode == 2
         assert "n=2" in result.stderr
 
-    def test_pure_directions_dim_four(self):
-        result = invoke("check", "--config", str(FIXTURES / "m4_pure.json"))
+    def test_pure_directions_dim_four(self, capsys):
+        result = invoke(capsys, "check", "--config", str(FIXTURES / "m4_pure.json"))
         assert result.returncode == 0
 
-    def test_unsupported_inequality_only_is_not_a_pass(self):
+    def test_unsupported_inequality_only_is_not_a_pass(self, capsys):
         result = invoke(
-            "check", "--family", "m", "--dim", "4", "--direction", "+,+,+,+",
+            capsys, "check", "--family", "m", "--dim", "4", "--direction", "+,+,+,+",
             "--method", "inequality", "--grid", "4", "--format", "json",
         )
         assert result.returncode == 1
@@ -305,20 +329,20 @@ class TestExitCodes:
             oracle_outcome=REFUTED,
             methods_agree=False,
         )
-        report = ScanReport(cfg, (verdict,), ("+,-",), 0.0)
+        report = ScanReport(cfg, (verdict,), 0.0)
+        assert report.disagreements == ("+,-",)
         assert exit_code(report) == 3
 
     def test_oracle_without_comparisons_is_not_a_pass(self, capsys):
         argv = ["check", "--family", "product", "--dim", "2", "--eps-den", "1", "--format", "json"]
-        assert run(parse_config(argv + ["--method", "oracle"])) == 1
+        assert main(argv + ["--method", "oracle"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert {v["outcome"] for v in data["verdicts"]} == {UNSUPPORTED}
-        assert run(parse_config(argv + ["--method", "both"])) == 0
+        assert main(argv + ["--method", "both"]) == 0
 
     def test_unconfirmed_counterexample_exits_three(self, monkeypatch, capsys):
         monkeypatch.setattr(checker, "recheck_counterexample", lambda *a, **k: False)
-        cfg = parse_config(["check", "--config", str(FIXTURES / "fgm2_mixed_refuted.json")])
-        assert run(cfg) == 3
+        assert main(["check", "--config", str(FIXTURES / "fgm2_mixed_refuted.json")]) == 3
         capsys.readouterr()
 
     def test_out_of_memory_exits_two(self, monkeypatch, capsys):
@@ -333,6 +357,15 @@ class TestExitCodes:
         assert err.startswith("dirmono: error:")
         assert "grid 100000" in err and "dim 2" in err
         assert "Traceback" not in err
+
+    def test_an_os_error_before_the_write_is_not_a_write_failure(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise OSError("device gone")
+
+        monkeypatch.setattr(cli, "scan_all_directions", broken)
+        with pytest.raises(OSError, match="device gone"):
+            main(["check", "--family", "product", "--dim", "2", "--grid", "3"])
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "dim, grid, shown",
@@ -375,15 +408,15 @@ class TestExitCodes:
     def test_decreasing_notion_routes_agree(self, capsys):
         argv = ["check", "--family", "product", "--dim", "2", "--grid", "5",
                 "--notion", "D", "--method", "both"]
-        code = run(parse_config(argv))
+        code = main(argv)
         capsys.readouterr()
         assert code != 3
 
 
 class TestReportFormats:
-    def test_text_rows(self):
+    def test_text_rows(self, capsys):
         result = invoke(
-            "check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "9"
+            capsys, "check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "9"
         )
         assert "PASS@g=9" in result.stdout
         assert "REFUTED@g=9" in result.stdout
@@ -399,9 +432,18 @@ class TestReportFormats:
         assert "# decreasing notion: every comparison of both routes is reversed\n" in out
         assert "duality" not in out
 
-    def test_csv_rows(self):
+    def test_text_labels_an_unsupported_verdict(self, capsys):
         result = invoke(
-            "check", "--family", "fgm", "--dim", "2", "--lambda", "0.5",
+            capsys, "check", "--family", "m", "--dim", "4", "--direction", "+,+,+,+",
+            "--method", "inequality", "--grid", "4",
+        )
+        assert result.returncode == 1
+        [row] = [line for line in result.stdout.splitlines() if not line.startswith("#")]
+        assert row.split()[1] == "UNSUPPORTED"
+
+    def test_csv_rows(self, capsys):
+        result = invoke(
+            capsys, "check", "--family", "fgm", "--dim", "2", "--lambda", "0.5",
             "--grid", "9", "--format", "csv",
         )
         lines = result.stdout.strip().splitlines()
@@ -445,15 +487,15 @@ class TestReportFormats:
             "check", "--family", "fgm", "--dim", "2", "--lambda", "0.5",
             "--grid", "9", "--format", "json",
         )
-        first = json.loads(invoke(*args).stdout)
-        second = json.loads(invoke(*args).stdout)
+        first = json.loads(spawn(*args).stdout)
+        second = json.loads(spawn(*args).stdout)
         first.pop("timing")
         second.pop("timing")
         assert json.dumps(first) == json.dumps(second)
 
-    def test_unwritable_output_path(self):
+    def test_unwritable_output_path(self, capsys):
         result = invoke(
-            "check", "--family", "product", "--dim", "2", "--grid", "3",
+            capsys, "check", "--family", "product", "--dim", "2", "--grid", "3",
             "--out", "/nonexistent-dir/report.txt",
         )
         assert result.returncode == 2
@@ -478,14 +520,17 @@ class TestReportFormats:
         [line] = result.stderr.splitlines()
         assert line.startswith("dirmono: error: cannot write the report to stdout:")
 
-    def test_run_function_matches_subprocess(self, tmp_path, capsys):
-        cfg = parse_config(
-            ["check", "--family", "w", "--dim", "2", "--grid", "9", "--format", "csv"]
-        )
-        code = run(cfg)
+    def test_main_writes_csv_to_stdout(self, capsys):
+        code = main(["check", "--family", "w", "--dim", "2", "--grid", "9", "--format", "csv"])
         captured = capsys.readouterr()
         assert code == 1  # pure directions refuted
         assert captured.out.startswith("direction,outcome")
+
+    def test_the_tool_version_is_the_package_version(self):
+        # every json report carries TOOL_VERSION as its tool_version; the
+        # one version line of pyproject.toml is [project]'s (no tomllib on 3.10)
+        [version] = re.findall(r'^version = "(.*)"$', (REPO / "pyproject.toml").read_text(), re.M)
+        assert TOOL_VERSION == version
 
     def test_format_report_rejects_unknown(self):
         cfg = RunConfig(
@@ -496,7 +541,7 @@ class TestReportFormats:
             direction=make_direction([1, 1]), method="oracle",
             outcome=UNSUPPORTED, pairs_tested=0, max_slack=None, counterexample=None,
         )
-        report = ScanReport(cfg, (verdict,), (), 0.0)
+        report = ScanReport(cfg, (verdict,), 0.0)
         with pytest.raises(ValueError):
             format_report(report, "yaml")
 
@@ -564,7 +609,7 @@ class TestAllocator:
     def test_the_scan_keeps_its_pages(self):
         # under glibc's default thresholds this scan took about 22,000 minor
         # faults; with its freed memory kept mapped, about 3,300 on 2 CPUs
-        result = invoke("check", "--family", "fgm", "--dim", "5", "--lambda", "0.5",
+        result = spawn("check", "--family", "fgm", "--dim", "5", "--lambda", "0.5",
                         "--grid", "4", "--all-directions", "--format", "json")
         assert result.returncode == 1, result.stderr  # the odd directions are refuted
         assert json.loads(result.stdout)["timing"]["minor_faults"] < 10000

@@ -6,6 +6,7 @@ from dirmono import (
     DimensionError,
     Direction,
     DirectionError,
+    all_directions,
     cdf,
     direction_from_token,
     join_direction,
@@ -42,6 +43,10 @@ class TestMakeDirection:
     def test_rejects_short_direction(self):
         with pytest.raises(DimensionError):
             make_direction([1])
+
+    def test_all_directions_needs_two_axes(self):
+        with pytest.raises(DimensionError, match="must be >= 2, got 1"):
+            all_directions(1)
 
     def test_direction_refuses_a_partition_other_than_its_signs(self):
         # a scan reads the partition, a report the signs

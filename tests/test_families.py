@@ -77,6 +77,13 @@ class TestValidate:
         with pytest.raises(DimensionError):
             validate(CopulaSpec("survival", 3, inner=inner))
 
+    def test_params_are_the_inner_specs_and_only_survival_has_one(self):
+        inner = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        with pytest.raises(ParameterError, match="no parameters of its own"):
+            validate(CopulaSpec("survival", 2, {"lambda": 0.5}, inner=inner))
+        with pytest.raises(ParameterError, match="'fgm' does not take an inner spec"):
+            validate(CopulaSpec("fgm", 2, {"lambda": 0.5}, inner=inner))
+
     @pytest.mark.parametrize(
         "evaluate",
         [
