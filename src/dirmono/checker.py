@@ -169,6 +169,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if isinstance(self.resolution, bool) or not isinstance(self.resolution, Integral):
             raise ValueError(f"grid resolution must be an integer, got {self.resolution!r}")
+        # a Python int, so that a numpy integer cannot wrap _check_lattice's charge
+        object.__setattr__(self, "resolution", int(self.resolution))
         if self.resolution < 2:
             raise ValueError(f"grid resolution must be >= 2, got {self.resolution}")
 
@@ -189,7 +191,8 @@ class Counterexample:
     are the ordered pair) and "step" for oracle violations (u_low/u_high
     are the two conditioning points, differing on one axis, with the
     fixed target point and the stepped axis recorded as well; the axis
-    is 0-based here and rendered 1-based in reports).
+    is 0-based here and rendered 1-based in reports).  ``violation`` is
+    lhs - rhs: a value passed for it (``bench/run.py`` passes one) is replaced.
     """
 
     direction: Direction
@@ -197,10 +200,13 @@ class Counterexample:
     u_high: tuple[float, ...]
     lhs: float
     rhs: float
-    violation: float
+    violation: float = math.nan
     kind: str = "pair"
     target: tuple[float, ...] | None = None
     axis: int | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "violation", self.lhs - self.rhs)
 
 
 @dataclass(frozen=True)
@@ -319,9 +325,8 @@ def check_pair(
     lhs, rhs = (crossed, plain) if d.is_pure else (plain, crossed)
     if notion is Notion.DECREASING:
         lhs, rhs = rhs, lhs
-    violation = lhs - rhs
-    if violation > tol:
-        return Counterexample(d, u, up, lhs, rhs, violation, kind="pair")
+    if lhs - rhs > tol:
+        return Counterexample(d, u, up, lhs, rhs, kind="pair")
     return None
 
 
@@ -436,7 +441,6 @@ def check_direction_inequality(
         tuple(grid.points()[hi[list(i)]]),
         float(lhs[i]),
         float(rhs[i]),
-        float(slack[i]),
         kind="pair",
     )
     return DirectionVerdict(d, METHOD_INEQUALITY, REFUTED, slack.size, max_slack, cex)
@@ -614,7 +618,6 @@ def check_direction_oracle(
         tuple(points[high]),
         lhs_val,
         rhs_val,
-        lhs_val - rhs_val,
         kind="step",
         target=tuple(points[list(np.unravel_index(p0 + t, shape))]),
         axis=k,

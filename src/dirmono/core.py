@@ -7,7 +7,7 @@ to use from any number of threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -17,7 +17,7 @@ class DimensionError(ValueError):
 
 
 class DirectionError(ValueError):
-    """A direction entry is not exactly -1 or +1, or disagrees with its partition."""
+    """A direction entry is not exactly -1 or +1."""
 
 
 class Notion(str, Enum):
@@ -32,23 +32,27 @@ Point = tuple[float, ...]
 
 @dataclass(frozen=True)
 class Direction:
-    """A sign vector with its partition into negative and positive axes.
+    """A sign vector, built from its signs alone.
 
-    ``neg_idx`` / ``pos_idx``, 0-based (reports render them 1-based), must
-    be the axes the signs give.  Pure directions (all signs equal) are
-    valid values; the checker decides how they are routed.
+    ``neg_idx`` / ``pos_idx`` are the negative and positive axes the signs
+    give, 0-based (reports render them 1-based).  Pure directions (all
+    signs equal) are valid values; the checker decides how they are routed.
     """
 
     signs: tuple[int, ...]
-    neg_idx: tuple[int, ...]
-    pos_idx: tuple[int, ...]
+    neg_idx: tuple[int, ...] = field(init=False)
+    pos_idx: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if (self.neg_idx, self.pos_idx) != _partition(self.signs):
-            raise DirectionError(
-                f"neg_idx {self.neg_idx!r} and pos_idx {self.pos_idx!r} are not the"
-                f" negative and positive axes of signs {self.signs!r}"
-            )
+        for s in self.signs:
+            if s != 1 and s != -1:
+                raise DirectionError(f"direction entry {s!r} is not +1 or -1")
+        if len(self.signs) < 2:
+            raise DimensionError(f"direction needs at least 2 entries, got {len(self.signs)}")
+        signs = tuple(map(int, self.signs))
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "neg_idx", tuple(i for i, s in enumerate(signs) if s < 0))
+        object.__setattr__(self, "pos_idx", tuple(i for i, s in enumerate(signs) if s > 0))
 
     @property
     def dim(self) -> int:
@@ -65,23 +69,9 @@ class Direction:
         return "(" + self.token() + ")"
 
 
-def _partition(signs: Sequence[int | float]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The negative and positive axes of ``signs``, refusing an entry that
-    is not +1 or -1 and fewer than 2 entries."""
-    for s in signs:
-        if s != 1 and s != -1:
-            raise DirectionError(f"direction entry {s!r} is not +1 or -1")
-    if len(signs) < 2:
-        raise DimensionError(f"direction needs at least 2 entries, got {len(signs)}")
-    neg = tuple(i for i, s in enumerate(signs) if s < 0)
-    return neg, tuple(i for i, s in enumerate(signs) if s > 0)
-
-
 def make_direction(signs: Iterable[int | float]) -> Direction:
     """Build a Direction from a sequence of +1 / -1 entries."""
-    sv = tuple(signs)
-    neg, pos = _partition(sv)
-    return Direction(signs=tuple(map(int, sv)), neg_idx=neg, pos_idx=pos)
+    return Direction(tuple(signs))
 
 
 def direction_from_token(token: str) -> Direction:

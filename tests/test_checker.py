@@ -71,12 +71,61 @@ class TestGridSpec:
 
     def test_numpy_integer_resolution(self):
         assert GridSpec(np.int64(3)).points().tolist() == GridSpec(3).points().tolist()
+        # a numpy integer would wrap the charge's (g+1)^n to a negative size
+        grid = GridSpec(np.int64(10**6))
+        assert type(grid.resolution) is int
+        with pytest.raises(MemoryError, match="points of the copula table do not fit"):
+            checker._check_lattice(3, grid.resolution, METHOD_ORACLE)
 
     def test_default_resolutions(self):
         assert GridSpec.default_resolution(2) == 21
         assert GridSpec.default_resolution(3) == 9
         assert GridSpec.default_resolution(4) == 6
         assert GridSpec.default_resolution(5) == 4
+
+
+class TestValueReprs:
+    # the verdict digest hashes these reprs, and forked workers pickle
+    # verdicts back to the parent
+    def test_reprs_are_pinned_and_survive_pickling(self):
+        spec = CopulaSpec("fgm", 2, {"lambda": 0.5})
+        d = make_direction([1, -1])
+        pair = check_pair(spec, d, (0.25, 0.25), (0.75, 0.75))
+        verdict = scan_direction(spec, d, GridSpec(3), METHOD_ORACLE)
+
+        def np_(*xs):  # lattice coordinates are numpy floats, whose repr numpy 2 changed
+            return "(" + ", ".join(repr(np.float64(x)) for x in xs) + ")"
+
+        direction = "Direction(signs=(1, -1), neg_idx=(1,), pos_idx=(0,))"
+        step = (
+            f"Counterexample(direction={direction}, u_low={np_(0.25, 0.5)},"
+            f" u_high={np_(0.5, 0.5)}, lhs=0.48333333333333334, rhs=0.4642857142857143,"
+            f" violation=0.019047619047619035, kind='step', target={np_(0.25, 0.25)}, axis=0)"
+        )
+        pinned = [
+            (d, direction),
+            (pair, f"Counterexample(direction={direction}, u_low=(0.25, 0.25),"
+                   " u_high=(0.75, 0.75), lhs=0.028873443603515625,"
+                   " rhs=0.024478912353515625, violation=0.00439453125, kind='pair',"
+                   " target=None, axis=None)"),
+            (verdict.counterexample, step),
+            (verdict, f"DirectionVerdict(direction={direction}, method='oracle',"
+                      " outcome='refuted', pairs_tested=108, max_slack=0.02452107279693483,"
+                      f" counterexample={step}, inequality_outcome=None,"
+                      " oracle_outcome='refuted', methods_agree=None)"),
+        ]
+        for value, text in pinned:
+            assert repr(value) == text
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and hash(copy) == hash(value) and repr(copy) == text
+
+    def test_a_counterexample_derives_its_violation(self):
+        d = make_direction([1, -1])
+        cex = Counterexample(d, (0.2, 0.2), (0.4, 0.4), 0.75, 0.5, kind="pair")
+        assert cex.violation == 0.25
+        # bench/run.py rebuilds one from a report and passes the report's violation
+        assert replace(cex, violation=9.0) == cex
+        assert replace(cex, lhs=1.0).violation == 0.5
 
 
 def _assert_tables_match_points(spec, g):
@@ -1044,7 +1093,7 @@ class TestScanRechecks:
     def test_a_step_whose_conditional_is_undefined_is_not_confirmed(self):
         # W has no mass below the later condition (0.3, 0.6), only below the earlier
         d = make_direction([-1, -1])
-        cex = Counterexample(d, (0.3, 0.6), (0.6, 0.6), 1.0, 0.0, 1.0, kind="step",
+        cex = Counterexample(d, (0.3, 0.6), (0.6, 0.6), 1.0, 0.0, kind="step",
                              target=(0.5, 0.5), axis=0)
         assert conditional_prob(CopulaSpec("w", 2), d, cex.target, cex.u_high) is not None
         assert recheck_counterexample(CopulaSpec("w", 2), cex) is False
@@ -1070,7 +1119,7 @@ class TestScanRechecks:
     def test_bad_eps_den_is_a_value_error(self, eps_den):
         # both conditions have no mass, so without the check 0.0 divides by zero
         d = make_direction([-1, -1])
-        cex = Counterexample(d, (0.2, 0.3), (0.3, 0.3), 0.0, 0.0, 0.0, kind="step",
+        cex = Counterexample(d, (0.2, 0.3), (0.3, 0.3), 0.0, 0.0, kind="step",
                              target=(0.5, 0.5), axis=0)
         with pytest.raises(ValueError, match="eps_den must be finite"):
             recheck_counterexample(CopulaSpec("w", 2), cex, eps_den=eps_den)
@@ -1107,7 +1156,7 @@ def _scalar_oracle_scan(spec, d, g, eps_den=DEFAULT_EPS_DEN, tol=DEFAULT_TOL):
                     low, high = (q, nb) if sign > 0 else (nb, q)
                     first = Counterexample(
                         d, tuple(pts[list(low)]), tuple(pts[list(high)]), lhs, rhs,
-                        lhs - rhs, kind="step", target=tuple(pts[list(t)]), axis=k,
+                        kind="step", target=tuple(pts[list(t)]), axis=k,
                     )
         outcome = REFUTED if first else PASS_AT_RESOLUTION if comparisons else UNSUPPORTED
         results[notion] = outcome, comparisons, max_slack, first

@@ -48,15 +48,17 @@ class TestMakeDirection:
         with pytest.raises(DimensionError, match="must be >= 2, got 1"):
             all_directions(1)
 
-    def test_direction_refuses_a_partition_other_than_its_signs(self):
-        # a scan reads the partition, a report the signs
-        with pytest.raises(DirectionError, match="not the negative and positive axes"):
-            Direction(signs=(1, -1), neg_idx=(), pos_idx=(0, 1))
+    def test_direction_is_built_from_its_signs_alone(self):
+        # a scan reads the partition, a report the signs: only the signs are given
+        assert Direction(signs=(1, -1)) == make_direction([1, -1])
+        assert list(map(type, Direction(signs=(1.0, -1)).signs)) == [int, int]
+        for partition in ({"neg_idx": (1,)}, {"pos_idx": (0,)}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                Direction(signs=(1, -1), **partition)
         with pytest.raises(DirectionError, match=r"direction entry 3 is not \+1 or -1"):
-            Direction(signs=(3,), neg_idx=(), pos_idx=())
+            Direction(signs=(3,))
         with pytest.raises(DimensionError, match="at least 2 entries, got 1"):
-            Direction(signs=(1,), neg_idx=(), pos_idx=(0,))
-        assert Direction(signs=(1, -1), neg_idx=(1,), pos_idx=(0,)) == make_direction([1, -1])
+            Direction(signs=(1,))
 
     def test_token_round_trip(self):
         d = direction_from_token("+,-,+")

@@ -15,7 +15,9 @@ Groups:
 * ``oracle block=B``: the ``repr`` of every ``check_direction_oracle``
   verdict of the zoo grid with ``checker._BLOCK`` set to B, for B in 1,
   2, 7 and the default; the blocks below the default leave out n = 5,
-  where a block of one pair takes half a second per verdict;
+  where a block of one pair takes half a second per verdict.  On a
+  checkout whose oracle has no ``checker._BLOCK``, B = 1, 2 and 7 print
+  ``absent`` and the default prints as ``oracle block=None``;
 * ``oracle g=9``: the same ``repr`` at the default block for the dim-2
   specs of the zoo grid on the lattice of 9 points per axis, where m and
   convexpim theta=0 hold passes whose maximum only a step that leaves the
@@ -64,7 +66,7 @@ from helpers import BAD_ARGVS, BAD_CONFIGS, family_zoo  # noqa: E402
 GRIDS = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
 EPS_DENS = (1e-12, 0.05, 0.3)
 TOLS = (1e-9, 1e-3)
-BLOCKS = (1, 2, 7, checker._BLOCK)
+BLOCK = getattr(checker, "_BLOCK", None)
 
 
 def zoo_specs() -> list[CopulaSpec]:
@@ -89,7 +91,9 @@ def oracle_digest(runs) -> str:
     return digest.hexdigest()
 
 
-def blocked_oracle_digest(block: int) -> str:
+def blocked_oracle_digest(block: int | None) -> str:
+    if BLOCK is None:
+        return "absent" if block else oracle_digest(zoo())
     default, checker._BLOCK = checker._BLOCK, block
     try:
         return oracle_digest(zoo(5 if block == default else 4))
@@ -160,7 +164,7 @@ def errors_digest() -> str:
 
 
 def main() -> None:
-    for block in BLOCKS:
+    for block in (1, 2, 7, BLOCK):
         print(f"oracle block={block}", blocked_oracle_digest(block), flush=True)
     print("oracle g=9", oracle_digest(zoo(2, {2: 9})), flush=True)
     print("inequality", inequality_digest(), flush=True)
