@@ -437,8 +437,8 @@ def check_direction_inequality(
     i = tuple(np.add(start, np.unravel_index(int(violating.argmax()), violating.shape)))
     cex = Counterexample(
         d,
-        tuple(grid.points()[lo[list(i)]]),
-        tuple(grid.points()[hi[list(i)]]),
+        tuple(grid.points()[lo[list(i)]].tolist()),
+        tuple(grid.points()[hi[list(i)]].tolist()),
         float(lhs[i]),
         float(rhs[i]),
         kind="pair",
@@ -614,12 +614,12 @@ def check_direction_oracle(
     low, high, points = *sorted([earlier, later]), grid.points()  # they differ on axis k
     cex = Counterexample(
         d,
-        tuple(points[low]),
-        tuple(points[high]),
+        tuple(points[low].tolist()),
+        tuple(points[high].tolist()),
         lhs_val,
         rhs_val,
         kind="step",
-        target=tuple(points[list(np.unravel_index(p0 + t, shape))]),
+        target=tuple(points[list(np.unravel_index(p0 + t, shape))].tolist()),
         axis=k,
     )
     return DirectionVerdict(d, METHOD_ORACLE, REFUTED, comparisons, max_slack, cex)

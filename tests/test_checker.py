@@ -93,14 +93,13 @@ class TestValueReprs:
         pair = check_pair(spec, d, (0.25, 0.25), (0.75, 0.75))
         verdict = scan_direction(spec, d, GridSpec(3), METHOD_ORACLE)
 
-        def np_(*xs):  # lattice coordinates are numpy floats, whose repr numpy 2 changed
-            return "(" + ", ".join(repr(np.float64(x)) for x in xs) + ")"
-
+        # the lattice coordinates are Python floats, whose repr does not
+        # depend on the numpy version
         direction = "Direction(signs=(1, -1), neg_idx=(1,), pos_idx=(0,))"
         step = (
-            f"Counterexample(direction={direction}, u_low={np_(0.25, 0.5)},"
-            f" u_high={np_(0.5, 0.5)}, lhs=0.48333333333333334, rhs=0.4642857142857143,"
-            f" violation=0.019047619047619035, kind='step', target={np_(0.25, 0.25)}, axis=0)"
+            f"Counterexample(direction={direction}, u_low=(0.25, 0.5),"
+            " u_high=(0.5, 0.5), lhs=0.48333333333333334, rhs=0.4642857142857143,"
+            " violation=0.019047619047619035, kind='step', target=(0.25, 0.25), axis=0)"
         )
         pinned = [
             (d, direction),

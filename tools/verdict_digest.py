@@ -1,23 +1,32 @@
 """Print one sha256 per group of dirmono results, to show that a change
 keeps every verdict bit for bit.
 
-    python3 tools/verdict_digest.py [ROOT]
+    python3 tools/verdict_digest.py
 
-ROOT is a dirmono checkout (default: the one this file sits in); the
-package is imported from its ``src/`` and the spec zoo from its
-``tests/helpers.py``, and its fixtures are run.  Nothing is written but
-the bad config files of the ``errors`` group, in a temporary directory.
-Run it on two checkouts and compare the lines: a group whose digest
-differs holds a verdict that changed.
+The package is imported from this checkout's ``src/`` and the spec zoo
+from its ``tests/helpers.py``, and its fixtures are run.  Nothing is
+written but the bad config files of the ``errors`` group, in a temporary
+directory.
+
+The digest is pinned in ``tests/verdict_digest.txt``; a change that
+moves a group re-makes it with
+
+    python3 tools/verdict_digest.py > tests/verdict_digest.txt
+
+and names the moved group in CHANGES.md.  ``tests/test_verdict_digest.py``
+computes every group but ``oracle block=1``, ``2`` and ``7`` in tier-1
+and compares it with the file; CI runs the whole tool against the file.
+Times on a 2-CPU x86-64 box (Intel Xeon, Python 3.11.7): ``oracle
+block=1`` 32 s, ``2`` 26 s and ``7`` 9 s; the default block 1.4 s,
+``oracle g=9`` 0.2 s, ``inequality`` 0.2 s, ``tables`` 0.1 s,
+``fixtures`` 0.1 s and ``errors`` under 0.1 s; the whole tool 64-70 s.
 
 Groups:
 
 * ``oracle block=B``: the ``repr`` of every ``check_direction_oracle``
   verdict of the zoo grid with ``checker._BLOCK`` set to B, for B in 1,
   2, 7 and the default; the blocks below the default leave out n = 5,
-  where a block of one pair takes half a second per verdict.  On a
-  checkout whose oracle has no ``checker._BLOCK``, B = 1, 2 and 7 print
-  ``absent`` and the default prints as ``oracle block=None``;
+  where a block of one pair takes half a second per verdict;
 * ``oracle g=9``: the same ``repr`` at the default block for the dim-2
   specs of the zoo grid on the lattice of 9 points per axis, where m and
   convexpim theta=0 hold passes whose maximum only a step that leaves the
@@ -52,11 +61,12 @@ import io
 import json
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve()
+ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from dirmono import CopulaSpec, checker, cli, survival_cdf  # noqa: E402
@@ -66,7 +76,6 @@ from helpers import BAD_ARGVS, BAD_CONFIGS, family_zoo  # noqa: E402
 GRIDS = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
 EPS_DENS = (1e-12, 0.05, 0.3)
 TOLS = (1e-9, 1e-3)
-BLOCK = getattr(checker, "_BLOCK", None)
 
 
 def zoo_specs() -> list[CopulaSpec]:
@@ -91,9 +100,7 @@ def oracle_digest(runs) -> str:
     return digest.hexdigest()
 
 
-def blocked_oracle_digest(block: int | None) -> str:
-    if BLOCK is None:
-        return "absent" if block else oracle_digest(zoo())
+def blocked_oracle_digest(block: int) -> str:
     default, checker._BLOCK = checker._BLOCK, block
     try:
         return oracle_digest(zoo(5 if block == default else 4))
@@ -163,14 +170,23 @@ def errors_digest() -> str:
     return digest.hexdigest()
 
 
+# name -> digest, in the order of the pinned file
+GROUPS = {
+    **{
+        f"oracle block={block}": partial(blocked_oracle_digest, block)
+        for block in (1, 2, 7, checker._BLOCK)
+    },
+    "oracle g=9": lambda: oracle_digest(zoo(2, {2: 9})),
+    "inequality": inequality_digest,
+    "tables": tables_digest,
+    "fixtures": fixtures_digest,
+    "errors": errors_digest,
+}
+
+
 def main() -> None:
-    for block in (1, 2, 7, BLOCK):
-        print(f"oracle block={block}", blocked_oracle_digest(block), flush=True)
-    print("oracle g=9", oracle_digest(zoo(2, {2: 9})), flush=True)
-    print("inequality", inequality_digest(), flush=True)
-    print("tables", tables_digest(), flush=True)
-    print("fixtures", fixtures_digest(), flush=True)
-    print("errors", errors_digest(), flush=True)
+    for name, digest in GROUPS.items():
+        print(name, digest(), flush=True)
 
 
 if __name__ == "__main__":
