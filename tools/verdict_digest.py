@@ -19,7 +19,8 @@ and compares it with the file; CI runs the whole tool against the file.
 Times on a 2-CPU x86-64 box (Intel Xeon, Python 3.11.7): ``oracle
 block=1`` 32 s, ``2`` 26 s and ``7`` 9 s; the default block 1.4 s,
 ``oracle g=9`` 0.2 s, ``inequality`` 0.2 s, ``tables`` 0.1 s,
-``fixtures`` 0.1 s and ``errors`` under 0.1 s; the whole tool 64-70 s.
+``fixtures`` 0.1 s, ``formats`` 0.6 s and ``errors`` under 0.1 s; the
+whole tool 64-70 s.
 
 Groups:
 
@@ -40,6 +41,10 @@ Groups:
 * ``fixtures``: each fixture config run in process through ``cli.main``
   as ``check --config PATH --format json``: its exit code, its stderr and
   its json report without the ``timing`` block;
+* ``formats``: each fixture config and each argv of
+  ``tests/oracle_reports.json`` run in process through ``cli.main`` with
+  ``--format text`` and with ``--format csv``: its exit code and its
+  report, the text's ``# elapsed:`` line dropped;
 * ``errors``: the exit code and stderr of ``cli.main`` on each bad input
   of ``BAD_ARGVS`` and of ``BAD_CONFIGS`` (each value in a config file of
   fgm n=2 lambda 0.5), both from ``tests/helpers.py``, which
@@ -149,6 +154,28 @@ def fixtures_digest() -> str:
     return digest.hexdigest()
 
 
+def formats_runs():
+    """(case, format, exit code, stdout) of each fixture config and each
+    argv of ``tests/oracle_reports.json`` as text and as csv, without the
+    text's ``# elapsed:`` line."""
+    cases = [(p.name, ["check", "--config", str(p)])
+             for p in sorted((ROOT / "fixtures").glob("*.json"))]
+    pinned = json.loads((ROOT / "tests" / "oracle_reports.json").read_text())
+    cases += [(name, case["argv"]) for name, case in pinned.items()]
+    for name, argv in cases:
+        for fmt in ("text", "csv"):
+            code, out, _ = run_main(argv + ["--format", fmt])
+            lines = out.splitlines(keepends=True)
+            yield name, fmt, code, "".join(x for x in lines if not x.startswith("# elapsed:"))
+
+
+def formats_digest() -> str:
+    digest = hashlib.sha256()
+    for run in formats_runs():
+        digest.update(json.dumps(run).encode())
+    return digest.hexdigest()
+
+
 def error_runs():
     """(input, exit code, stderr) of every bad input, the config file's
     path in stderr written as CONFIG."""
@@ -180,6 +207,7 @@ GROUPS = {
     "inequality": inequality_digest,
     "tables": tables_digest,
     "fixtures": fixtures_digest,
+    "formats": formats_digest,
     "errors": errors_digest,
 }
 
