@@ -3,8 +3,9 @@
 The json form is the canonical one: it is versioned, deterministic
 apart from the timing block, and lossless: every double is written with
 ``repr``, so ``json.loads`` gives it back bit for bit.  Text is a human
-table, csv one row per direction.  Reports are output only; nothing
-reads one back into objects.
+table, csv one row per direction; both render the json form's dicts of
+the verdicts.  Reports are output only; nothing reads one back into
+objects.
 """
 
 from __future__ import annotations
@@ -13,14 +14,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
-from .checker import (
-    Counterexample,
-    DirectionVerdict,
-    PASS_AT_RESOLUTION,
-    REFUTED,
-)
+from .checker import PASS_AT_RESOLUTION, REFUTED, DirectionVerdict
 from .core import Direction, Notion
 from .families import CopulaSpec
 
@@ -76,35 +72,43 @@ def _spec_to_dict(spec: CopulaSpec) -> dict[str, Any]:
     }
 
 
-def _cex_to_dict(cex: Counterexample | None) -> dict[str, Any] | None:
-    if cex is None:
-        return None
-    return {
-        "kind": cex.kind,
-        "direction": cex.direction.token(),
-        "u_low": [float(x) for x in cex.u_low],
-        "u_high": [float(x) for x in cex.u_high],
-        "lhs": float(cex.lhs),
-        "rhs": float(cex.rhs),
-        "violation": float(cex.violation),
-        "target": [float(x) for x in cex.target] if cex.target is not None else None,
-        # axes are 1-based in serialized reports
-        "axis": cex.axis + 1 if cex.axis is not None else None,
-    }
+def _floats(point) -> list[float]:
+    return [float(x) for x in point]
+
+
+# the report keys of a counterexample and of a verdict, in report order: each
+# names the attribute it writes, and how; json, text and csv all read these
+_CEX_KEYS: dict[str, Callable[[Any], Any]] = {
+    "kind": str,
+    "direction": Direction.token,
+    "u_low": _floats,
+    "u_high": _floats,
+    "lhs": float,
+    "rhs": float,
+    "violation": float,
+    "target": _floats,
+    "axis": lambda axis: axis + 1,  # axes are 1-based in serialized reports
+}
+_VERDICT_KEYS: dict[str, Callable[[Any], Any]] = {
+    "direction": Direction.token,
+    "outcome": str,
+    "method": str,
+    "pairs_tested": int,
+    "max_slack": float,
+    "counterexample": lambda cex: _dict_form(cex, _CEX_KEYS),
+    "inequality_outcome": str,
+    "oracle_outcome": str,
+    "methods_agree": bool,
+}
+
+
+def _dict_form(obj: Any, keys: dict[str, Callable[[Any], Any]]) -> dict[str, Any]:
+    """Each attribute of ``obj`` that ``keys`` names, written as it says; None stays None."""
+    return {k: None if (x := getattr(obj, k)) is None else write(x) for k, write in keys.items()}
 
 
 def _verdict_to_dict(v: DirectionVerdict) -> dict[str, Any]:
-    return {
-        "direction": v.direction.token(),
-        "outcome": v.outcome,
-        "method": v.method,
-        "pairs_tested": v.pairs_tested,
-        "max_slack": float(v.max_slack) if v.max_slack is not None else None,
-        "counterexample": _cex_to_dict(v.counterexample),
-        "inequality_outcome": v.inequality_outcome,
-        "oracle_outcome": v.oracle_outcome,
-        "methods_agree": v.methods_agree,
-    }
+    return _dict_form(v, _VERDICT_KEYS)
 
 
 def _config_to_dict(cfg: RunConfig) -> dict[str, Any]:
@@ -143,16 +147,8 @@ def report_to_json(report: ScanReport) -> str:
 # ------------------------------------------------------------- text and csv
 
 
-def _point(p) -> str:
-    return "(" + ",".join(repr(float(x)) for x in p) + ")"
-
-
-def _outcome_label(v: DirectionVerdict, grid: int) -> str:
-    if v.outcome == PASS_AT_RESOLUTION:
-        return f"PASS@g={grid}"
-    if v.outcome == REFUTED:
-        return f"REFUTED@g={grid}"
-    return "UNSUPPORTED"
+def _point(p: list[float]) -> str:
+    return "(" + ",".join(map(repr, p)) + ")"
 
 
 def format_text(report: ScanReport) -> str:
@@ -164,45 +160,27 @@ def format_text(report: ScanReport) -> str:
     ]
     if cfg.notion is Notion.DECREASING:
         lines.append("# decreasing notion: every comparison of both routes is reversed")
-    for v in report.verdicts:
-        slack = "n/a" if v.max_slack is None else f"{v.max_slack:.6e}"
+    labels = {PASS_AT_RESOLUTION: f"PASS@g={cfg.grid}", REFUTED: f"REFUTED@g={cfg.grid}"}
+    for v in map(_verdict_to_dict, report.verdicts):
+        slack = "n/a" if v["max_slack"] is None else f"{v['max_slack']:.6e}"
         lines.append(
-            f"{v.direction.pretty():<14} {_outcome_label(v, cfg.grid):<14} "
-            f"{v.method:<11} pairs={v.pairs_tested} slack={slack}"
+            f"{'(' + v['direction'] + ')':<14} {labels.get(v['outcome'], 'UNSUPPORTED'):<14} "
+            f"{v['method']:<11} pairs={v['pairs_tested']} slack={slack}"
         )
-        cex = v.counterexample
+        cex = v["counterexample"]
         if cex is not None:
             detail = (
-                f"    counterexample[{cex.kind}]: u={_point(cex.u_low)} u'={_point(cex.u_high)} "
-                f"lhs={cex.lhs!r} rhs={cex.rhs!r} violation={cex.violation!r}"
+                f"    counterexample[{cex['kind']}]: u={_point(cex['u_low'])} "
+                f"u'={_point(cex['u_high'])} lhs={cex['lhs']!r} rhs={cex['rhs']!r} "
+                f"violation={cex['violation']!r}"
             )
-            if cex.target is not None:
-                detail += f" target={_point(cex.target)} axis={cex.axis + 1}"
+            if cex["target"] is not None:
+                detail += f" target={_point(cex['target'])} axis={cex['axis']}"
             lines.append(detail)
     if report.disagreements:
         lines.append("# METHOD DISAGREEMENT on: " + ", ".join(report.disagreements))
     lines.append(f"# elapsed: {report.elapsed_seconds:.3f} s")
     return "\n".join(lines) + "\n"
-
-
-_CSV_FIELDS = [
-    "direction",
-    "outcome",
-    "method",
-    "pairs_tested",
-    "max_slack",
-    "inequality_outcome",
-    "oracle_outcome",
-    "methods_agree",
-    "cex_kind",
-    "cex_u_low",
-    "cex_u_high",
-    "cex_lhs",
-    "cex_rhs",
-    "cex_violation",
-    "cex_target",
-    "cex_axis",
-]
 
 
 def _csv_cell(value: Any) -> Any:
@@ -218,14 +196,15 @@ def _csv_cell(value: Any) -> Any:
 
 
 def format_csv(report: ScanReport) -> str:
+    """One row per verdict: its report keys, then ``cex_`` and each of its
+    counterexample's, the direction, which the row has, left out."""
+    columns = [k for k in _VERDICT_KEYS if k != "counterexample"]
+    columns += [f"cex_{k}" for k in _CEX_KEYS if k != "direction"]
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=_CSV_FIELDS, lineterminator="\n", extrasaction="ignore"
-    )
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
-    for v in report.verdicts:
-        row = _verdict_to_dict(v)
-        row.update((f"cex_{k}", x) for k, x in (_cex_to_dict(v.counterexample) or {}).items())
+    for row in map(_verdict_to_dict, report.verdicts):
+        row.update((f"cex_{k}", x) for k, x in (row["counterexample"] or {}).items())
         writer.writerow({k: _csv_cell(x) for k, x in row.items()})
     return buf.getvalue()
 

@@ -2,13 +2,18 @@
 none reuses the package's signed-sum or table code, so that agreement with
 the package is meaningful."""
 
+import contextlib
+import io
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from dirmono import CopulaSpec, DimensionError, Notion, cdf
+from dirmono import PASS_AT_RESOLUTION, REFUTED, UNSUPPORTED
+from dirmono import CopulaSpec, DimensionError, Notion, cdf, cli
 
 Point = tuple[float, ...]
 
@@ -139,6 +144,16 @@ BAD_CONFIGS = [
 ]
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)`` in this process: its exit code, stdout and stderr.
+    Redirected rather than taken with capsys, so that a test's own printed
+    lines still show under ``-s``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def oracle_max_slack(table, signs, eps_dens, informative_only=False):
     """The oracle's maximum slack, dense, off its definition, keyed (notion,
     eps_den) for both notions and each of ``eps_dens``: over every condition
@@ -169,6 +184,72 @@ def oracle_max_slack(table, signs, eps_dens, informative_only=False):
                 top = float(np.where(np.isnan(slack), -np.inf, slack).max())
                 best[notion, eps_den] = max(best[notion, eps_den], top)
     return best
+
+
+def count_table(n, m, per_bin, seed):
+    """A seeded table of counts on m bins per axis, n axes and about
+    ``per_bin`` points per bin: the ranks of a Gaussian sample of
+    ``per_bin * m**n`` points, correlated by a random mixing matrix, binned
+    into m equal bins per axis, so that every margin holds N/m points in
+    each bin.  Its cumulative sums are N times a checkerboard copula
+    (Genest, Neslehova & Remillard, Bernoulli 20 (2014)).  Drawn with
+    ``np.random.RandomState``, whose stream numpy keeps across versions."""
+    rng = np.random.RandomState(seed)
+    mixing = rng.uniform(-1.0, 1.0, size=(n, n))
+    sample = rng.standard_normal((per_bin * m**n, n)) @ mixing
+    bins = sample.argsort(axis=0).argsort(axis=0) * m // len(sample)
+    counts = np.zeros((m,) * n, dtype=np.int64)
+    np.add.at(counts, tuple(bins.T), 1)
+    return counts
+
+
+def cumulative(counts):
+    """The cumulative sums of ``counts`` along every axis: N times its
+    checkerboard copula on the lattice of m - 1 points per axis with 1
+    appended, the shape of ``checker._copula_table`` at g = m - 1."""
+    for k in range(counts.ndim):
+        counts = counts.cumsum(axis=k)
+    return counts
+
+
+def exact_oracle_outcome(ftable, total, signs, notion, tol, eps_den):
+    """The oracle's outcome off its definition, in exact arithmetic, for
+    F_d given as integer counts ``ftable``, shape (g,)*n, out of ``total``:
+    with the negative axes of ``signs`` flipped, over every target v,
+    condition w and axis k, the conditional F_d(v ∨ w) / F_d(w) against the
+    one at w + e_k, a comparison defined where F_d(w) / total and
+    F_d(w + e_k) / total are >= eps_den; the maximum slack, a Fraction,
+    against tol.  Each slack is a quotient of integers below 2^53, so its
+    float is correctly rounded; rounding is monotone, so the exact maximum
+    is among the slacks whose float is the largest, and only those are
+    made Fractions."""
+    assert total**2 < 2**53, "products of counts must stay exact in int64 and float"
+    g, n = ftable.shape[0], ftable.ndim
+    table = ftable[tuple(slice(None, None, s) for s in signs)]
+    least = math.ceil(Fraction(eps_den) * total)
+    points = np.array(list(product(range(g), repeat=n)))
+    best = None
+    for k in range(n):
+        w = points[points[:, k] < g - 1]
+        w2 = w + (np.arange(n) == k)
+        den, den2 = table[tuple(w.T)], table[tuple(w2.T)]
+        defined = (den >= least) & (den2 >= least)
+        if not defined.any():
+            continue
+        w, w2, den, den2 = w[defined], w2[defined], den[defined], den2[defined]
+        # F_d at the join of every target with each condition, and with its step
+        num, num2 = (table[tuple(np.moveaxis(np.maximum(points[:, None], c), -1, 0))]
+                     for c in (w, w2))
+        diff = num * den2 - num2 * den
+        if notion is Notion.DECREASING:
+            diff = -diff
+        prod = np.broadcast_to(den * den2, diff.shape)
+        top = diff / prod == (diff / prod).max()
+        worst = max(Fraction(int(a), int(b)) for a, b in zip(diff[top], prod[top]))
+        best = worst if best is None else max(best, worst)
+    if best is None:
+        return UNSUPPORTED
+    return REFUTED if best > Fraction(tol) else PASS_AT_RESOLUTION
 
 
 def all_sign_vectors(n):

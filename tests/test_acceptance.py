@@ -5,8 +5,6 @@ Scan results are cached so the method-equivalence criterion can audit
 exactly the verdicts produced by the classification criteria.
 """
 
-import contextlib
-import io
 import json
 import time
 from pathlib import Path
@@ -25,7 +23,6 @@ from dirmono import (
     scan_all_directions,
     survival_cdf,
 )
-from dirmono.cli import main
 from helpers import (
     Box,
     all_sign_vectors,
@@ -36,11 +33,11 @@ from helpers import (
     frechet_lower,
     frechet_upper,
     point_fn,
+    run_main,
     survival2_closed_form,
 )
 
 REPO = Path(__file__).resolve().parent.parent
-FIXTURES = REPO / "fixtures"
 
 TOL = 1e-9
 
@@ -63,16 +60,6 @@ def timed_scan(spec, grid, method="both", directions=None):
         )
         _scan_cache[key] = (verdicts, time.perf_counter() - start)
     return _scan_cache[key]
-
-
-def run_main(argv):
-    """``cli.main(argv)`` in this process: its exit code, stdout and stderr.
-    Redirected rather than taken with capsys, so that a test's own
-    ``[acceptance]`` line still prints under ``-s``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def outcome_sets(verdicts):
@@ -283,44 +270,6 @@ def test_criterion_11_survival_identities():
             u = tuple(rng.random(2))
             assert survival_cdf(spec, u) == pytest.approx(cdf(spec, u), abs=1e-12)
     record(11, True, f"{checked} closed-form checks plus fgm reflection invariance")
-
-
-# expected exit code per shipped fixture config
-_FIXTURE_EXPECTATIONS = {
-    "pi3_all.json": 0,
-    "m4_pure.json": 0,
-    "convexpim3.json": 0,
-    "fgm2_mixed_refuted.json": 1,
-    "fgm2_pos.json": 1,
-    "fgm2_neg.json": 1,
-    "amh_pos.json": 1,
-    "amh_neg.json": 1,
-    "w2_all.json": 1,
-    "m2_all.json": 1,
-    "fgm3_neg.json": 1,
-    "fgm3_pos.json": 1,
-    "fgm4_parity.json": 1,
-    "amh_invalid_dim.json": 2,
-}
-
-
-def test_fixture_suite_runs_with_expected_exit_codes():
-    # each report, timing removed, as the fixtures produced it when pinned
-    pinned = json.loads((REPO / "tests" / "fixture_reports.json").read_text())
-    seen = set()
-    for path in sorted(FIXTURES.glob("*.json")):
-        expected = _FIXTURE_EXPECTATIONS[path.name]
-        code, out, err = run_main(["check", "--config", str(path)])
-        assert code == expected, f"{path.name}: exit {code}, expected {expected}\n{err}"
-        if expected != 2:
-            report = json.loads(out)
-            assert report["schema_version"] == 1
-            del report["timing"]
-            assert report == pinned[path.name], f"{path.name}: report differs from pinned"
-        seen.add(path.name)
-    assert seen == set(_FIXTURE_EXPECTATIONS)
-    assert set(pinned) == {p for p, code in _FIXTURE_EXPECTATIONS.items() if code != 2}
-    print(f"[acceptance] fixture suite: PASS  {len(seen)} configs with expected exit codes")
 
 
 def test_oracle_reports_match_pinned():

@@ -983,6 +983,30 @@ class TestProductLaw:
             assert v.outcome == expected, v.direction.pretty()
 
 
+class TestAmhLaw:
+    """This code's AMH is uv/h with h = 1 + delta(1-u)(1-v), so
+    d_u d_v log C = -delta/h^2: C is TP2 iff delta <= 0, and its reverse
+    iff delta >= 0.  Along (-,-) F_d is C itself, and under I both routes
+    ask for TP2 of it; under D the inequality route asks for the reverse."""
+
+    DELTAS = (-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0)
+    NEGATIVE = make_direction([-1, -1])
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_both_routes_pass_the_negative_direction_iff_delta_is_not_positive(self, delta):
+        spec = CopulaSpec("amh", 2, {"delta": delta})
+        v = scan_direction(spec, self.NEGATIVE, GridSpec(9), METHOD_BOTH)
+        assert v.methods_agree is True
+        assert (v.outcome == PASS_AT_RESOLUTION) is (delta <= 0)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_inequality_passes_it_under_decreasing_iff_delta_is_not_negative(self, delta):
+        spec = CopulaSpec("amh", 2, {"delta": delta})
+        v = scan_direction(spec, self.NEGATIVE, GridSpec(9), METHOD_INEQUALITY,
+                           notion=Notion.DECREASING)
+        assert (v.outcome == PASS_AT_RESOLUTION) is (delta >= 0)
+
+
 class TestSurvivalReflection:
     """The survival copula of C is the law of 1 - U, so its F_d at u is
     C's F_{-d} at 1 - u.  Reflecting the lattice maps each comparison

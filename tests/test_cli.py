@@ -545,6 +545,39 @@ class TestReportFormats:
         with pytest.raises(ValueError):
             format_report(report, "yaml")
 
+    def test_an_empty_report_in_every_format(self):
+        # no direction, as a library caller may ask; csv keeps its header
+        cfg = RunConfig(
+            spec=CopulaSpec("product", 2), directions=(), grid=5,
+            method="both", notion=Notion.INCREASING, tol=1e-9, eps_den=1e-12,
+        )
+        verdicts = scan_all_directions(cfg.spec, GridSpec(cfg.grid), directions=[])
+        report = ScanReport(cfg, tuple(verdicts), 0.25)
+        assert format_report(report, "text") == (
+            "# dirmono scan report (schema 1, tool 0.1.0)\n"
+            "# copula: product(n=2)  grid: g=5  method: both  notion: I  tol: 1e-09"
+            "  eps_den: 1e-12\n"
+            "# elapsed: 0.250 s\n"
+        )
+        assert format_report(report, "csv") == (
+            "direction,outcome,method,pairs_tested,max_slack,inequality_outcome,"
+            "oracle_outcome,methods_agree,cex_kind,cex_u_low,cex_u_high,cex_lhs,cex_rhs,"
+            "cex_violation,cex_target,cex_axis\n"
+        )
+        family = {"family": "product", "dim": 2, "params": {}, "inner": None}
+        assert format_report(report, "json") == json.dumps({
+            "schema_version": 1,
+            "tool_version": "0.1.0",
+            "config": {
+                "family": family, "directions": [], "grid": 5, "method": "both",
+                "notion": "I", "derived_by_duality": False, "tol": 1e-9, "eps_den": 1e-12,
+                "format": "text", "out": None,
+            },
+            "verdicts": [],
+            "disagreements": [],
+            "timing": {"elapsed_seconds": 0.25, "minor_faults": None},
+        }, indent=2) + "\n"
+
 
 class TestAllocator:
     """The CLI raises glibc's trim and mmap thresholds before its scan."""

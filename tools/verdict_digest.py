@@ -20,7 +20,7 @@ Times on a 2-CPU x86-64 box (Intel Xeon, Python 3.11.7): ``oracle
 block=1`` 32 s, ``2`` 26 s and ``7`` 9 s; the default block 1.4 s,
 ``oracle g=9`` 0.2 s, ``inequality`` 0.2 s, ``tables`` 0.1 s,
 ``fixtures`` 0.1 s, ``formats`` 0.6 s and ``errors`` under 0.1 s; the
-whole tool 64-70 s.
+whole tool 75-81 s.
 
 Groups:
 
@@ -60,9 +60,7 @@ with every direction, both notions, ``eps_den`` 1e-12, 0.05 and 0.3, and
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import sys
 import tempfile
@@ -74,9 +72,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from dirmono import CopulaSpec, checker, cli, survival_cdf  # noqa: E402
+from dirmono import CopulaSpec, checker, survival_cdf  # noqa: E402
 from dirmono.core import Notion, all_directions  # noqa: E402
-from helpers import BAD_ARGVS, BAD_CONFIGS, family_zoo  # noqa: E402
+from helpers import BAD_ARGVS, BAD_CONFIGS, family_zoo, run_main  # noqa: E402
 
 GRIDS = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
 EPS_DENS = (1e-12, 0.05, 0.3)
@@ -135,14 +133,6 @@ def tables_digest() -> str:
     return digest.hexdigest()
 
 
-def run_main(argv: list[str]) -> tuple[int, str, str]:
-    """``cli.main(argv)``: its exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def fixtures_digest() -> str:
     digest = hashlib.sha256()
     for path in sorted((ROOT / "fixtures").glob("*.json")):
@@ -169,13 +159,6 @@ def formats_runs():
             yield name, fmt, code, "".join(x for x in lines if not x.startswith("# elapsed:"))
 
 
-def formats_digest() -> str:
-    digest = hashlib.sha256()
-    for run in formats_runs():
-        digest.update(json.dumps(run).encode())
-    return digest.hexdigest()
-
-
 def error_runs():
     """(input, exit code, stderr) of every bad input, the config file's
     path in stderr written as CONFIG."""
@@ -190,9 +173,9 @@ def error_runs():
             yield repr(bad), code, err.replace(str(path), "CONFIG")
 
 
-def errors_digest() -> str:
+def runs_digest(runs) -> str:
     digest = hashlib.sha256()
-    for run in error_runs():
+    for run in runs:
         digest.update(json.dumps(run).encode())
     return digest.hexdigest()
 
@@ -207,8 +190,8 @@ GROUPS = {
     "inequality": inequality_digest,
     "tables": tables_digest,
     "fixtures": fixtures_digest,
-    "formats": formats_digest,
-    "errors": errors_digest,
+    "formats": lambda: runs_digest(formats_runs()),
+    "errors": lambda: runs_digest(error_runs()),
 }
 
 
