@@ -84,11 +84,10 @@ class CopulaSpec:
         return hash((self.family, self.dim, tuple(sorted(self.params.items())), self.inner))
 
     def describe(self) -> str:
-        ps = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
-        base = f"{self.family}(n={self.dim}" + (f",{ps}" if ps else "") + ")"
         if self.inner is not None:
             return f"survival-of:{self.inner.describe()}"
-        return base
+        ps = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
+        return f"{self.family}(n={self.dim}" + (f",{ps}" if ps else "") + ")"
 
 
 def validate(spec: CopulaSpec) -> None:

@@ -53,11 +53,12 @@ class ScanReport:
 
 
 def exit_code(report: ScanReport) -> int:
-    """0 all passed, 1 any refuted or not fully supported, 3 disagreement."""
+    """0 all passed, 1 any refuted or not fully supported or none checked, 3 disagreement."""
     if report.disagreements:
         return 3
-    # a refuted or unsupported verdict: a pass cannot be claimed
-    return 0 if all(v.outcome == PASS_AT_RESOLUTION for v in report.verdicts) else 1
+    # a refuted or unsupported verdict, or none: a pass cannot be claimed
+    passed = all(v.outcome == PASS_AT_RESOLUTION for v in report.verdicts)
+    return 0 if report.verdicts and passed else 1
 
 
 # ---------------------------------------------------------------- dict forms

@@ -143,6 +143,36 @@ BAD_CONFIGS = [
     {"tol": 10**400},
 ]
 
+# scans that no fixture covers (the D notion, large and tiny --eps-den,
+# n = 4 and 5, a survival-of family, inequality alone), by name: the
+# fixtures and formats groups of tools/verdict_digest.py run them after the
+# fixture configs, each with its --format
+SCAN_ARGVS = [(name, ["check", *args.split()]) for name, args in [
+    ("fgm3_lambda-0.7_g7_D_oracle",
+     "--family fgm --dim 3 --lambda -0.7 --grid 7 --notion D --all-directions --method oracle"),
+    ("fgm3_lambda-0.7_g7_D_both",
+     "--family fgm --dim 3 --lambda -0.7 --grid 7 --notion D --all-directions --method both"),
+    ("m3_g6_eps0.05_oracle",
+     "--family m --dim 3 --grid 6 --eps-den 0.05 --all-directions --method oracle"),
+    ("m3_g6_eps0.05_both",
+     "--family m --dim 3 --grid 6 --eps-den 0.05 --all-directions --method both"),
+    ("w2_g25_eps1e-300_oracle",
+     "--family w --dim 2 --grid 25 --eps-den 1e-300 --all-directions --method oracle"),
+    ("w2_g25_eps1e-300_both",
+     "--family w --dim 2 --grid 25 --eps-den 1e-300 --all-directions --method both"),
+    ("convexpim4_theta0.3_g5_D_oracle",
+     "--family convexpim --dim 4 --theta 0.3 --grid 5 --notion D --all-directions --method oracle"),
+    ("convexpim4_theta0.3_g5_D_both",
+     "--family convexpim --dim 4 --theta 0.3 --grid 5 --notion D --all-directions --method both"),
+    ("fgm5_lambda0.5_g3_both",
+     "--family fgm --dim 5 --lambda 0.5 --grid 3 --all-directions --method both"),
+    ("survival-of-fgm3_lambda-0.5_g5_D_both",
+     "--family survival-of:fgm --dim 3 --lambda -0.5 --grid 5 --notion D --all-directions "
+     "--method both"),
+    ("fgm4_lambda-1_g4_inequality",
+     "--family fgm --dim 4 --lambda -1 --grid 4 --all-directions --method inequality"),
+]]
+
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:
     """``cli.main(argv)`` in this process: its exit code, stdout and stderr.

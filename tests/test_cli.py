@@ -424,13 +424,17 @@ class TestReportFormats:
         assert "counterexample" in result.stdout
 
     def test_text_names_the_decreasing_notion(self, capsys):
-        # D reverses the comparisons of both routes; nothing is derived
+        # D reverses the comparisons of both routes; nothing is derived in
+        # text, while json's config keeps its schema key
         argv = ["check", "--family", "fgm", "--dim", "2", "--lambda", "0.5", "--grid", "5",
                 "--notion", "D"]
         main(argv)
         out = capsys.readouterr().out
         assert "# decreasing notion: every comparison of both routes is reversed\n" in out
         assert "duality" not in out
+        main(argv + ["--format", "json"])
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["notion"], config["derived_by_duality"]) == ("D", True)
 
     def test_text_labels_an_unsupported_verdict(self, capsys):
         result = invoke(
@@ -553,6 +557,7 @@ class TestReportFormats:
         )
         verdicts = scan_all_directions(cfg.spec, GridSpec(cfg.grid), directions=[])
         report = ScanReport(cfg, tuple(verdicts), 0.25)
+        assert exit_code(report) == 1  # nothing was checked, so nothing passed
         assert format_report(report, "text") == (
             "# dirmono scan report (schema 1, tool 0.1.0)\n"
             "# copula: product(n=2)  grid: g=5  method: both  notion: I  tol: 1e-09"

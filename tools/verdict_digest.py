@@ -16,11 +16,12 @@ moves a group re-makes it with
 and names the moved group in CHANGES.md.  ``tests/test_verdict_digest.py``
 computes every group but ``oracle block=1``, ``2`` and ``7`` in tier-1
 and compares it with the file; CI runs the whole tool against the file.
-Times on a 2-CPU x86-64 box (Intel Xeon, Python 3.11.7): ``oracle
-block=1`` 32 s, ``2`` 26 s and ``7`` 9 s; the default block 1.4 s,
-``oracle g=9`` 0.2 s, ``inequality`` 0.2 s, ``tables`` 0.1 s,
-``fixtures`` 0.1 s, ``formats`` 0.6 s and ``errors`` under 0.1 s; the
-whole tool 75-81 s.
+Times on a 2-CPU x86-64 box (Intel Xeon, Python 3.11.7) shared with
+other work, over three runs: ``oracle block=1`` 39-44 s, ``2`` 30-34 s
+and ``7`` 11-14 s; the default block 1.6-1.9 s, ``oracle g=9``,
+``inequality`` and ``fixtures`` 0.2-0.4 s each, ``tables`` 0.1-0.2 s,
+``formats`` 0.5-0.6 s and ``errors`` under 0.1 s; the whole tool 77-97 s
+over four runs.
 
 Groups:
 
@@ -38,11 +39,10 @@ Groups:
   direction's ``checker._orthant_table`` read off it, and of
   ``survival_cdf`` at the lattice points, for every spec of the zoo grid
   and survival-of fgm n=6 on the lattice of 3 points per axis;
-* ``fixtures``: each fixture config run in process through ``cli.main``
-  as ``check --config PATH --format json``: its exit code, its stderr and
-  its json report without the ``timing`` block;
-* ``formats``: each fixture config and each argv of
-  ``tests/oracle_reports.json`` run in process through ``cli.main`` with
+* ``fixtures``: each case run in process through ``cli.main`` with
+  ``--format json``: its exit code, its stderr and its json report
+  without the ``timing`` block;
+* ``formats``: each case run in process through ``cli.main`` with
   ``--format text`` and with ``--format csv``: its exit code and its
   report, the text's ``# elapsed:`` line dropped;
 * ``errors``: the exit code and stderr of ``cli.main`` on each bad input
@@ -51,6 +51,9 @@ Groups:
   ``test_usage_errors`` and ``test_malformed_config_value_exits_two`` in
   ``tests/test_cli.py`` run too, so that a change can show its error
   paths unchanged.
+
+The cases are each fixture config, as ``check --config PATH``, and then
+each scan of ``SCAN_ARGVS`` from ``tests/helpers.py``.
 
 The zoo grid is ``family_zoo()`` plus fgm n=5 with lambda -1 and 1, on
 the lattices of 6, 4, 3 and 3 points per axis for n = 2, 3, 4 and 5,
@@ -74,7 +77,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from dirmono import CopulaSpec, checker, survival_cdf  # noqa: E402
 from dirmono.core import Notion, all_directions  # noqa: E402
-from helpers import BAD_ARGVS, BAD_CONFIGS, family_zoo, run_main  # noqa: E402
+from helpers import BAD_ARGVS, BAD_CONFIGS, SCAN_ARGVS, family_zoo, run_main  # noqa: E402
 
 GRIDS = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
 EPS_DENS = (1e-12, 0.05, 0.3)
@@ -133,26 +136,28 @@ def tables_digest() -> str:
     return digest.hexdigest()
 
 
-def fixtures_digest() -> str:
-    digest = hashlib.sha256()
-    for path in sorted((ROOT / "fixtures").glob("*.json")):
-        code, out, err = run_main(["check", "--config", str(path), "--format", "json"])
+def cases() -> list[tuple[str, list[str]]]:
+    """(name, argv) of each fixture config, then of each scan of
+    ``SCAN_ARGVS``; the argv names no format."""
+    fixtures = [(p.name, ["check", "--config", str(p)])
+                for p in sorted((ROOT / "fixtures").glob("*.json"))]
+    return fixtures + SCAN_ARGVS
+
+
+def fixture_runs():
+    """(case, exit code, stderr, json report without its ``timing``) of each case."""
+    for name, argv in cases():
+        code, out, err = run_main(argv + ["--format", "json"])
         report = json.loads(out) if out else None
         if report is not None:
             del report["timing"]
-        digest.update(json.dumps([path.name, code, err, report]).encode())
-    return digest.hexdigest()
+        yield name, code, err, report
 
 
 def formats_runs():
-    """(case, format, exit code, stdout) of each fixture config and each
-    argv of ``tests/oracle_reports.json`` as text and as csv, without the
-    text's ``# elapsed:`` line."""
-    cases = [(p.name, ["check", "--config", str(p)])
-             for p in sorted((ROOT / "fixtures").glob("*.json"))]
-    pinned = json.loads((ROOT / "tests" / "oracle_reports.json").read_text())
-    cases += [(name, case["argv"]) for name, case in pinned.items()]
-    for name, argv in cases:
+    """(case, format, exit code, stdout) of each case as text and as csv,
+    without the text's ``# elapsed:`` line."""
+    for name, argv in cases():
         for fmt in ("text", "csv"):
             code, out, _ = run_main(argv + ["--format", fmt])
             lines = out.splitlines(keepends=True)
@@ -189,7 +194,7 @@ GROUPS = {
     "oracle g=9": lambda: oracle_digest(zoo(2, {2: 9})),
     "inequality": inequality_digest,
     "tables": tables_digest,
-    "fixtures": fixtures_digest,
+    "fixtures": lambda: runs_digest(fixture_runs()),
     "formats": lambda: runs_digest(formats_runs()),
     "errors": lambda: runs_digest(error_runs()),
 }
