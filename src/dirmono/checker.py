@@ -18,18 +18,19 @@ sum of margins of C, which are C with some coordinates pinned to 1.  So
 with 1.0 appended to each (``_copula_table``), and hands that table to
 ``scan_direction``, which reads each direction's F_d, shape (g,)*n, off
 it by slicing and hands it to both routes.  The pure single-swap form
-reads F_d too (C, for the all-negative direction), but the all-positive
-one reads the survival copula (``_survival_table``), evaluated per axis
-too since flipping C's table is not bit-exact.  Both routes gather from
-these tables by per-axis ``take``s of the per-axis pairs lo <= hi, with no
-per-pair index vectors.  The oracle takes those pairs as a condition w
-and its join z with the target: a step leaves z as it is, or, where the
-two share the stepped coordinate (an informative step), steps it with w,
-so a comparison depends on the target only through z, and each distinct
-(w, z, axis) is evaluated at most once; its count is taken once per
-direction, off the mask of defined conditions, before any is evaluated.
-It reads F_d with the negative axes flipped, where a step along d raises
-every index, so the same per-axis pairs serve all 2^n directions.
+reads F_d too: C for the all-negative direction, and for the all-positive
+one F_d reversed on every axis, which is the survival copula on the
+lattice, since F_d(u) is the survival copula at 1 - u and the lattice is
+symmetric.  Both routes gather from these tables by per-axis ``take``s of
+the per-axis pairs lo <= hi, with no per-pair index vectors.  The oracle
+takes those pairs as a condition w and its join z with the target: a step
+leaves z as it is, or, where the two share the stepped coordinate (an
+informative step), steps it with w, so a comparison depends on the target
+only through z, and each distinct (w, z, axis) is evaluated at most once;
+its count is taken once per direction, off the mask of defined
+conditions, before any is evaluated.  It reads F_d with the negative axes
+flipped, where a step along d raises every index, so the same per-axis
+pairs serve all 2^n directions.
 
 The oracle scans in chains.  A chain runs along one axis k, block by
 block, over the quotients F_d(z) / den(w) of the conditions w_k = i at
@@ -112,7 +113,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import DimensionError, Direction, Notion, all_directions
-from .families import SURVIVAL, CopulaSpec, _cdf_axes, _signed_sum, survival_cdf, validate
+from .families import CopulaSpec, _cdf_axes, _signed_sum, survival_cdf, validate
 from .families import _points
 from .orthant import DEFAULT_EPS_DEN, MIN_EPS_DEN, _check_direction, _check_eps_den
 from .orthant import _orthant_array, conditional_prob
@@ -139,8 +140,8 @@ _MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # peak bytes of the inequality route per (u, u') pair: 25.0 to 28.3 under
 # tracemalloc, passing and refuted, at (6,3), (5,4), (4,6), (3,9), (3,15), (2,60)
 _PAIR_PEAK_BYTES = 29
-# peak bytes of a scan's tables per (g+1)^n point (the copula table, F_d, the
-# survival table and the oracle's copies of F_d): 2.2 to 8.1 floats under
+# peak bytes of a scan's tables per (g+1)^n point (the copula table, F_d and
+# the oracle's copies of F_d): 2.2 to 8.1 floats under
 # tracemalloc over 12 specs from (2,1000) to (8,5), the most at survival-of amh
 # (2,400); the oracle's blocks add O(_BLOCK)
 _TABLE_PEAK_BYTES = 72
@@ -358,13 +359,6 @@ def _orthant_table(ctable: np.ndarray, d: Direction) -> np.ndarray:
     return _signed_sum(margin, d.neg_idx, d.pos_idx)
 
 
-def _survival_table(spec: CopulaSpec, grid: GridSpec) -> np.ndarray:
-    """The survival copula of ``spec`` on the (g,)*n lattice, which the all-positive
-    direction's pairwise form reads; flipping C's table is not bit-exact."""
-    validate(spec)
-    return _cdf_axes(CopulaSpec(SURVIVAL, spec.dim, inner=spec), _axes(grid.points(), spec.dim))
-
-
 def check_direction_inequality(
     spec: CopulaSpec,
     d: Direction,
@@ -377,11 +371,11 @@ def check_direction_inequality(
     """Scan every ordered grid pair with the pairwise inequality.
 
     Mixed directions swap the negative-axis coordinates of u and u' and
-    read F_d; pure ones in dims 2 and 3 swap axis 0 and read the copula
-    (all-negative) or survival copula (all-positive).  Pure directions in
+    read F_d; pure ones in dims 2 and 3 swap axis 0 and read F_d, which is
+    the copula (all-negative), or F_d reversed on every axis, which is the
+    survival copula on the lattice (all-positive).  Pure directions in
     dim >= 4 come back as unsupported; route those to the oracle.
-    ``table`` is F_d on the lattice, which the all-positive direction
-    ignores for ``_survival_table``; when not given, it is read off the
+    ``table`` is F_d on the lattice; when not given, it is read off the
     copula table as ``scan_direction`` reads it.
     """
     _check_direction(spec, d)
@@ -390,11 +384,12 @@ def check_direction_inequality(
         return DirectionVerdict(d, METHOD_INEQUALITY, UNSUPPORTED, 0, None, None)
     g, n = grid.resolution, spec.dim
     _check_lattice(n, g, METHOD_INEQUALITY)
-    if d.is_pure and d.signs[0] > 0:
-        table = _survival_table(spec, grid)
-    elif table is None:
+    if table is None:
         table = _orthant_table(_copula_table(spec, grid), d)
     table = table.reshape((g,) * n)
+    if d.is_pure and d.signs[0] > 0:
+        # F_d(u) is the survival copula at 1 - u, and the lattice is symmetric
+        table = table[(slice(None, None, -1),) * n]
     # per axis, every ordered pair lo <= hi of lattice indices
     lo, hi = np.triu_indices(g)
 

@@ -144,9 +144,13 @@ def _assert_tables_match_points(spec, g):
         if d.is_pure and d.signs[0] < 0:
             # F_d is C: the signed sum adds C to 0.0, and C is never -0.0
             assert read.tobytes() == raw.tobytes(), spec.describe()
-    # the all-positive direction's pairwise table
-    survival = checker._survival_table(spec, grid)
-    assert survival.tobytes() == survival_cdf(spec, points).tobytes(), spec.describe()
+    if (g + 1) & g == 0:
+        # the all-positive direction's pairwise form reads F_d reversed, the
+        # survival copula on the lattice; bit for bit where g + 1 is a power of
+        # two, so that every 1 - k/(g+1) is exact
+        positive = checker._orthant_table(ctable, make_direction([1] * spec.dim))
+        reversed_ = positive[(slice(None, None, -1),) * spec.dim]
+        assert reversed_.tobytes() == survival_cdf(spec, points).tobytes(), spec.describe()
 
 
 def _survival_of(spec):
@@ -154,7 +158,7 @@ def _survival_of(spec):
 
 
 class TestCopulaTable:
-    @pytest.mark.parametrize("g", [2, 3, 5])
+    @pytest.mark.parametrize("g", [2, 3, 5, 7])
     def test_tables_match_direct_evaluation_bit_for_bit(self, g):
         for spec in family_zoo():
             _assert_tables_match_points(spec, g)
@@ -292,10 +296,11 @@ class TestDirectionInequality:
         assert v.pairs_tested == 0
         assert v.max_slack is None
 
-    def test_handed_f_d_gives_the_verdict_of_a_direct_call(self):
-        # the route takes F_d, as the oracle does; the all-positive
-        # direction reads the survival table whatever it is handed
-        grid = GridSpec(3)
+    @pytest.mark.parametrize("g", [3, 5])
+    def test_handed_f_d_gives_the_verdict_of_a_direct_call(self, g):
+        # the route takes F_d, as the oracle does, for every direction; the
+        # all-positive one reads it reversed on every axis
+        grid = GridSpec(g)
         for spec in family_zoo():
             ctable = checker._copula_table(spec, grid)
             for d in all_directions(spec.dim):
@@ -383,11 +388,15 @@ class TestScans:
         b = scan_all_directions(spec, GridSpec(9), method=METHOD_BOTH)
         assert a == b
 
-    def test_both_routes_share_one_table_per_direction(self, monkeypatch):
+    @pytest.mark.parametrize("spec, g", [(CopulaSpec("fgm", 3, {"lambda": 0.5}), 5),
+                                         (CopulaSpec("fgm", 4, {"lambda": 0.5}), 4)],
+                             ids=["fgm3", "fgm4"])
+    def test_both_routes_share_one_table_per_direction(self, monkeypatch, spec, g):
         # one F_d per direction for both routes, all read off one copula
-        # table per scan, evaluated in one call on the lattice's axes; the
-        # scalar recheck evaluates single points and pair corners; on one
-        # CPU, so that every call is counted in this process
+        # table per scan, evaluated in one call on the lattice's axes and
+        # never on the (g,)*n lattice, also by the all-positive pair form that
+        # runs in dim 3; the scalar recheck evaluates single points and pair
+        # corners; on one CPU, so that every call is counted in this process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         read, tables = checker._orthant_table, Counter()
         evaluate, shapes = families._cdf_axes, Counter()
@@ -403,28 +412,13 @@ class TestScans:
         monkeypatch.setattr(checker, "_orthant_table", counted_read)
         monkeypatch.setattr(checker, "_cdf_axes", counted_evaluate)
         monkeypatch.setattr(families, "_cdf_axes", counted_evaluate)
-        spec = CopulaSpec("fgm", 4, {"lambda": 0.5})
-        verdicts = scan_all_directions(spec, GridSpec(4), method=METHOD_BOTH)
+        verdicts = scan_all_directions(spec, GridSpec(g), method=METHOD_BOTH)
+        n = spec.dim
         assert set(tables) == {v.direction for v in verdicts}
-        assert sum(tables.values()) == len(verdicts) == 16
-        assert shapes[(5,) * 4] == 1
-        assert all(len(shape) <= 1 for shape in shapes if shape != (5,) * 4)
-
-    def test_oracle_only_scan_builds_no_survival_table(self, monkeypatch):
-        # only the inequality route reads the all-positive direction's
-        # survival table in dims 2 and 3; on one CPU, so that every call is
-        # recorded in this process
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        evaluate, families_built = checker._cdf_axes, []
-
-        def recorded(spec, xs):
-            families_built.append(spec.family)
-            return evaluate(spec, xs)
-
-        monkeypatch.setattr(checker, "_cdf_axes", recorded)
-        spec = CopulaSpec("fgm", 3, {"lambda": 0.5})
-        scan_all_directions(spec, GridSpec(5), method=METHOD_ORACLE)
-        assert families_built == ["fgm"]
+        assert sum(tables.values()) == len(verdicts) == 2**n
+        assert shapes[(g + 1,) * n] == 1
+        assert (g,) * n not in shapes
+        assert all(len(shape) <= 1 for shape in shapes if shape != (g + 1,) * n)
 
     def test_repeated_direction_is_refused_before_any_table(self, monkeypatch):
         monkeypatch.setattr(checker, "_copula_table", None)
